@@ -4,8 +4,9 @@
 //! The per-connection reader/writer thread pairs of the original transport
 //! cap a hub at a few hundred workers (two OS threads each); the paper's
 //! control plane must absorb grid-scale churn. This module multiplexes
-//! every socket through one `epoll(7)` instance (falling back to `poll(2)`
-//! when `epoll_create1` is unavailable) driven by a single loop:
+//! every socket through one `epoll(7)` instance driven by a single loop
+//! (process mode is Linux-only; `Reactor::new` returns the OS error if
+//! `epoll_create1` fails):
 //!
 //! * **Readiness registration** — level-triggered read interest on every
 //!   connection, write interest only while its queue is non-empty.
@@ -20,8 +21,9 @@
 //!   driving heartbeat failure detection and coalesced broadcasts.
 //!
 //! Everything is `std` + the C library the process is already linked
-//! against: the `epoll`/`poll` syscalls are declared `extern "C"` below,
-//! and non-blocking mode comes from `TcpStream::set_nonblocking`.
+//! against: the `epoll` syscalls (and the single-fd `poll` the flush wait
+//! uses) are declared `extern "C"` below, and non-blocking mode comes from
+//! `TcpStream::set_nonblocking`.
 
 use crate::wire::{Message, WireError, MAX_FRAME};
 use sagrid_core::metrics::{Counter, Gauge, Histogram, Metrics};
@@ -49,8 +51,8 @@ const FIRST_CONN_TOKEN: Token = 2;
 const LOOP_LATENCY_BOUNDS_US: &[u64] = &[50, 100, 250, 500, 1_000, 5_000, 25_000, 100_000];
 
 // ---------------------------------------------------------------------------
-// Syscall layer: epoll(7) with a poll(2) fallback, declared against the
-// already-linked C library (the workspace admits no external crates).
+// Syscall layer: epoll(7), declared against the already-linked C library
+// (the workspace admits no external crates).
 // ---------------------------------------------------------------------------
 
 mod sys {
@@ -65,10 +67,7 @@ mod sys {
     pub const EPOLL_CTL_MOD: c_int = 3;
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
 
-    pub const POLLIN: c_short = 0x001;
     pub const POLLOUT: c_short = 0x004;
-    pub const POLLERR: c_short = 0x008;
-    pub const POLLHUP: c_short = 0x010;
 
     /// The kernel ABI packs this struct on x86-64; other architectures use
     /// natural alignment.
@@ -102,35 +101,26 @@ mod sys {
     }
 }
 
-/// Which multiplexing syscall this reactor runs on.
-enum Backend {
-    /// An `epoll` instance fd (closed on drop).
-    Epoll(i32),
-    /// `poll(2)`: the fd array is rebuilt per wait — O(n) per iteration,
-    /// but always available.
-    Poll,
-}
+/// The reactor's `epoll` instance fd (closed on drop).
+struct Epoll(i32);
 
-impl Backend {
-    fn new() -> Backend {
+impl Epoll {
+    fn new() -> io::Result<Epoll> {
         // Safety: epoll_create1 takes a flags int and returns an fd or -1.
         let fd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        if fd >= 0 {
-            Backend::Epoll(fd)
-        } else {
-            Backend::Poll
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(Epoll(fd))
     }
 
     fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) {
-        if let Backend::Epoll(ep) = self {
-            let mut ev = sys::EpollEvent {
-                events,
-                data: token,
-            };
-            // Safety: ev lives across the call; the kernel copies it.
-            unsafe { sys::epoll_ctl(*ep, op, fd, &mut ev) };
-        }
+        let mut ev = sys::EpollEvent {
+            events,
+            data: token,
+        };
+        // Safety: ev lives across the call; the kernel copies it.
+        unsafe { sys::epoll_ctl(self.0, op, fd, &mut ev) };
     }
 
     fn register(&self, fd: i32, want_write: bool, token: u64) {
@@ -148,16 +138,14 @@ impl Backend {
     }
 }
 
-impl Drop for Backend {
+impl Drop for Epoll {
     fn drop(&mut self) {
-        if let Backend::Epoll(fd) = self {
-            // Safety: fd is an epoll instance we own.
-            unsafe { sys::close(*fd) };
-        }
+        // Safety: the fd is an epoll instance we own.
+        unsafe { sys::close(self.0) };
     }
 }
 
-/// Readiness of one fd, normalised across the two backends.
+/// Readiness of one fd, decoded from an epoll event.
 #[derive(Clone, Copy)]
 struct Ready {
     token: u64,
@@ -344,7 +332,7 @@ impl Waker {
 /// A single-threaded readiness reactor over one optional listener, any
 /// number of stream connections, and a set of one-shot timers.
 pub struct Reactor {
-    backend: Backend,
+    epoll: Epoll,
     listener: Option<TcpListener>,
     conns: BTreeMap<Token, Conn>,
     next_token: Token,
@@ -376,12 +364,12 @@ impl Reactor {
     }
 
     fn build(listener: Option<TcpListener>, metrics: &Metrics) -> io::Result<Reactor> {
-        let backend = Backend::new();
+        let epoll = Epoll::new()?;
         if let Some(l) = &listener {
-            backend.register(l.as_raw_fd(), false, LISTENER_TOKEN);
+            epoll.register(l.as_raw_fd(), false, LISTENER_TOKEN);
         }
         Ok(Reactor {
-            backend,
+            epoll,
             listener,
             conns: BTreeMap::new(),
             next_token: FIRST_CONN_TOKEN,
@@ -415,7 +403,7 @@ impl Reactor {
     /// how a standby hands its front door to the takeover hub.
     pub fn take_listener(&mut self) -> Option<TcpListener> {
         let l = self.listener.take()?;
-        self.backend.deregister(l.as_raw_fd());
+        self.epoll.deregister(l.as_raw_fd());
         Some(l)
     }
 
@@ -425,7 +413,7 @@ impl Reactor {
             let (tx, rx) = UnixStream::pair()?;
             tx.set_nonblocking(true)?;
             rx.set_nonblocking(true)?;
-            self.backend.register(rx.as_raw_fd(), false, WAKER_TOKEN);
+            self.epoll.register(rx.as_raw_fd(), false, WAKER_TOKEN);
             self.waker_rx = Some(rx);
             self.waker_tx = Some(Arc::new(tx));
         }
@@ -441,7 +429,7 @@ impl Reactor {
         let peer = stream.peer_addr()?;
         let token = self.next_token;
         self.next_token += 1;
-        self.backend.register(stream.as_raw_fd(), false, token);
+        self.epoll.register(stream.as_raw_fd(), false, token);
         self.conns.insert(
             token,
             Conn {
@@ -574,7 +562,7 @@ impl Reactor {
                     // count the stall.
                     if !conn.want_write {
                         conn.want_write = true;
-                        self.backend.rearm(conn.stream.as_raw_fd(), true, token);
+                        self.epoll.rearm(conn.stream.as_raw_fd(), true, token);
                         if let Some(rm) = &self.rm {
                             rm.stalls.inc();
                         }
@@ -595,7 +583,7 @@ impl Reactor {
         if conn.done_writing() {
             if conn.want_write {
                 conn.want_write = false;
-                self.backend.rearm(conn.stream.as_raw_fd(), false, token);
+                self.epoll.rearm(conn.stream.as_raw_fd(), false, token);
             }
             // A locally-closed or read-closed connection only lived to
             // drain; its queue is empty now.
@@ -610,7 +598,7 @@ impl Reactor {
     /// `Closed`.
     fn reap(&mut self, token: Token, out: &mut Vec<ReactorEvent>) {
         if let Some(conn) = self.conns.remove(&token) {
-            self.backend.deregister(conn.stream.as_raw_fd());
+            self.epoll.deregister(conn.stream.as_raw_fd());
             if let Some(rm) = &self.rm {
                 rm.open_connections.add(-1);
                 rm.pending_write_bytes.add(-(conn.wq_bytes as i64));
@@ -692,72 +680,23 @@ impl Reactor {
         }
     }
 
-    /// Waits on the backend for up to `timeout`, returning normalised
-    /// readiness records.
+    /// Waits on epoll for up to `timeout`, returning readiness records.
     fn wait(&mut self, timeout: Duration) -> Vec<Ready> {
         let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
         let mut ready = Vec::new();
-        match &self.backend {
-            Backend::Epoll(ep) => {
-                self.ep_events
-                    .resize(1024, sys::EpollEvent { events: 0, data: 0 });
-                // Safety: the events buffer outlives the call; the kernel
-                // writes at most `maxevents` entries.
-                let n =
-                    unsafe { sys::epoll_wait(*ep, self.ep_events.as_mut_ptr(), 1024, timeout_ms) };
-                for ev in self.ep_events.iter().take(n.max(0) as usize) {
-                    let events = ev.events; // copy out of the packed struct
-                    ready.push(Ready {
-                        token: ev.data,
-                        readable: events & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                        writable: events & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    });
-                }
-            }
-            Backend::Poll => {
-                let mut fds: Vec<sys::PollFd> = Vec::with_capacity(self.conns.len() + 2);
-                let mut tokens: Vec<u64> = Vec::with_capacity(self.conns.len() + 2);
-                if let Some(l) = &self.listener {
-                    fds.push(sys::PollFd {
-                        fd: l.as_raw_fd(),
-                        events: sys::POLLIN,
-                        revents: 0,
-                    });
-                    tokens.push(LISTENER_TOKEN);
-                }
-                if let Some(rx) = &self.waker_rx {
-                    fds.push(sys::PollFd {
-                        fd: rx.as_raw_fd(),
-                        events: sys::POLLIN,
-                        revents: 0,
-                    });
-                    tokens.push(WAKER_TOKEN);
-                }
-                for (tok, conn) in &self.conns {
-                    fds.push(sys::PollFd {
-                        fd: conn.stream.as_raw_fd(),
-                        events: sys::POLLIN | if conn.want_write { sys::POLLOUT } else { 0 },
-                        revents: 0,
-                    });
-                    tokens.push(*tok);
-                }
-                // Safety: fds is a live slice for the duration of the call.
-                let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                if n > 0 {
-                    for (pfd, tok) in fds.iter().zip(&tokens) {
-                        if pfd.revents != 0 {
-                            ready.push(Ready {
-                                token: *tok,
-                                readable: pfd.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP)
-                                    != 0,
-                                writable: pfd.revents
-                                    & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP)
-                                    != 0,
-                            });
-                        }
-                    }
-                }
-            }
+        self.ep_events
+            .resize(1024, sys::EpollEvent { events: 0, data: 0 });
+        // Safety: the events buffer outlives the call; the kernel writes at
+        // most `maxevents` entries.
+        let n =
+            unsafe { sys::epoll_wait(self.epoll.0, self.ep_events.as_mut_ptr(), 1024, timeout_ms) };
+        for ev in self.ep_events.iter().take(n.max(0) as usize) {
+            let events = ev.events; // copy out of the packed struct
+            ready.push(Ready {
+                token: ev.data,
+                readable: events & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                writable: events & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+            });
         }
         ready
     }
@@ -854,8 +793,8 @@ impl Reactor {
                     if left.is_zero() {
                         return false;
                     }
-                    // Wait for writability on just this fd; poll(2) works
-                    // regardless of backend.
+                    // Wait for writability on just this fd: a one-entry
+                    // poll(2) needs no epoll registration change.
                     let mut pfd = [sys::PollFd {
                         fd: c.stream.as_raw_fd(),
                         events: sys::POLLOUT,

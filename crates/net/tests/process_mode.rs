@@ -1,29 +1,40 @@
-//! End-to-end process-mode test: `grid-local` spawns a real hub, a real
-//! coordinator daemon and real worker processes over loopback TCP, injects
-//! a SIGKILL crash, and verifies detection, blacklisting and the emitted
-//! decision-provenance stream. This is the crash scenario kept short; the
-//! full paper scenario (slow-worker removal) runs in ci.sh.
+//! End-to-end process-mode tests: `grid-local` spawns a real hub, a real
+//! coordinator daemon and real worker processes over loopback TCP. The
+//! paper's crash scenario (`scenarios/s6.json`) SIGKILLs two of three
+//! sites and verifies detection, blacklisting, the refused rejoin and the
+//! emitted decision-provenance stream; the steal scenario and the exit-code
+//! classes are covered below. ci.sh additionally runs `steal`, `hub-crash`,
+//! `churn-soak` and the s6/mass-crash scenario files; `--scenario full` is
+//! run by hand (see README).
 
 #[test]
 fn grid_local_crash_scenario_passes() {
     let out = std::env::temp_dir().join(format!("grid_local_test_{}", std::process::id()));
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_grid-local"))
+    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/s6.json");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_grid-local"))
         .args([
-            "--workers",
-            "3",
-            "--scenario",
-            "crash",
-            "--duration-ms",
-            "5000",
+            "--scenario-file",
+            scenario,
             "--out",
             out.to_str().expect("utf8 temp path"),
         ])
-        .status()
+        .output()
         .expect("launch grid-local");
-    assert!(status.success(), "grid-local exited with {status}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "grid-local exited with {}: {stdout}",
+        output.status
+    );
     // The hub and coordinator both wrote their JSONL metric streams.
     assert!(out.join("run_hub.jsonl").exists());
     assert!(out.join("run_coordinatord.jsonl").exists());
+    // Each crash injection was probed: a rejoin under a victim's id was
+    // refused by the hub.
+    assert!(
+        stdout.contains("JOIN_REFUSED") && stdout.contains("was refused"),
+        "the crash probe's refused rejoin is missing from the log: {stdout}"
+    );
     std::fs::remove_dir_all(&out).ok();
 }
 
@@ -68,6 +79,34 @@ fn process_gone(pid: u32) -> bool {
     }
 }
 
+/// The failure exit must not leak children: the launcher prints each
+/// spawned pid, and its Drop-based reaper runs before `process::exit`, so
+/// every such pid must be gone once grid-local itself has exited.
+fn assert_no_leaked_children(stdout: &[u8]) {
+    let stdout = String::from_utf8_lossy(stdout);
+    let spawned: Vec<u32> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("grid-local: spawned "))
+        .filter_map(|rest| rest.split("pid=").nth(1))
+        .filter_map(|p| p.trim().parse().ok())
+        .collect();
+    assert!(
+        !spawned.is_empty() && stdout.contains("spawned hub pid="),
+        "exit-4 run should have spawned (and reported) a hub before timing out: {stdout}"
+    );
+    for pid in spawned {
+        // SIGKILL is asynchronous; allow the victim a moment to die.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !process_gone(pid) && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        assert!(
+            process_gone(pid),
+            "child pid {pid} survived the exit-4 path (leaked process)"
+        );
+    }
+}
+
 /// Exit codes separate the three failure classes: 4 = infrastructure
 /// timeout (the grid never came up), 2 = infrastructure/usage error,
 /// 1 = a check failed on an otherwise healthy run. CI keys off this to
@@ -94,31 +133,36 @@ fn grid_local_scenario_file_exit_codes_distinguish_failure_classes() {
         Some(4),
         "infrastructure timeout must exit 4"
     );
+    assert_no_leaked_children(&output.stdout);
 
-    // The failure exit must not leak children: the launcher prints each
-    // spawned pid, and its Drop-based reaper runs before `process::exit`,
-    // so every such pid must be gone once grid-local itself has exited.
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let spawned: Vec<u32> = stdout
-        .lines()
-        .filter_map(|l| l.strip_prefix("grid-local: spawned "))
-        .filter_map(|rest| rest.split("pid=").nth(1))
-        .filter_map(|p| p.trim().parse().ok())
-        .collect();
-    assert!(
-        !spawned.is_empty() && stdout.contains("spawned hub pid="),
-        "exit-4 run should have spawned (and reported) a hub before timing out: {stdout}"
+    // Every mode shares the lifecycle's join timeout: a steal run that
+    // cannot see its hub come up is a timeout too, not an infra error.
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_grid-local"))
+        .args([
+            "--scenario",
+            "steal",
+            "--join-timeout-ms",
+            "1",
+            "--out",
+            out.to_str().expect("utf8 temp path"),
+        ])
+        .output()
+        .expect("launch grid-local");
+    assert_eq!(
+        output.status.code(),
+        Some(4),
+        "a steal run whose hub never comes up must exit 4"
     );
-    for pid in spawned {
-        // SIGKILL is asynchronous; allow the victim a moment to die.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while !process_gone(pid) && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        assert!(
-            process_gone(pid),
-            "child pid {pid} survived the exit-4 path (leaked process)"
-        );
+    assert_no_leaked_children(&output.stdout);
+
+    // Naming no mode, or `--scenario` without a value, is a usage error.
+    let out_arg = out.to_str().expect("utf8 temp path");
+    for args in [vec!["--out", out_arg], vec!["--scenario"]] {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_grid-local"))
+            .args(&args)
+            .status()
+            .expect("launch grid-local");
+        assert_eq!(status.code(), Some(2), "{args:?} must be a usage error");
     }
 
     // An unreadable scenario file is an infrastructure error, exit 2.

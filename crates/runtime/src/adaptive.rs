@@ -194,7 +194,12 @@ mod tests {
 
     #[test]
     fn tick_grows_a_saturated_pool() {
-        let rt = Runtime::new(RuntimeConfig::single_cluster(2));
+        // A light speed probe: the default one costs tens of ms per worker
+        // in a debug build, as much overhead as the ~50 ms of work below.
+        let rt = Runtime::new(RuntimeConfig {
+            benchmark_spins: 200_000,
+            ..RuntimeConfig::single_cluster(2)
+        });
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let mut art = AdaptiveRuntime::new(rt, quick_policy(), vec![6]);

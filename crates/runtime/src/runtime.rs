@@ -397,6 +397,30 @@ mod tests {
     }
 
     #[test]
+    fn nested_tasks_are_timed_once() {
+        // A lone worker runs every spawned child itself while waiting in a
+        // join. Each task's own work must be counted (and, on a slowed
+        // worker, padded) once — not again by every enclosing task, which
+        // inflated busy time and compounded a slow worker's padding until
+        // its jobs never finished.
+        let rt = Runtime::new(RuntimeConfig::single_cluster(1));
+        let _ = rt.take_monitoring_reports();
+        let start = Instant::now();
+        assert_eq!(rt.run(|ctx| fib(ctx, 18)), 2584);
+        let wall = start.elapsed();
+        let busy: u64 = rt
+            .take_monitoring_reports()
+            .iter()
+            .map(|(r, _)| r.breakdown.busy.0)
+            .sum();
+        assert!(
+            Duration::from_micros(busy) <= wall,
+            "busy {busy}us exceeds the {wall:?} the job took"
+        );
+        rt.shutdown();
+    }
+
+    #[test]
     fn monitoring_reports_cover_alive_workers_and_reset() {
         let rt = Runtime::new(RuntimeConfig::single_cluster(3));
         let _ = rt.run(|ctx| fib(ctx, 18));

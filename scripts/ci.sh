@@ -64,40 +64,18 @@ echo "== experiments smoke (parallel == serial) =="
 diff target/ci_serial.txt target/ci_parallel.txt
 echo "parallel output is byte-identical to serial"
 
-echo "== process-mode smoke (hub + 4 workers + coordinatord on loopback) =="
-# Bounded end-to-end run of the paper's crash scenario over real sockets:
-# grid-local spawns the hub, four workers and the out-of-process
-# coordinator, SIGKILLs one worker, and asserts the registry reports the
-# crash (heartbeat timeout, not socket close), the blacklisted id never
-# rejoins, and every child is reaped — no orphans. The hard timeout keeps
-# a wedged run from hanging the gate.
-rm -rf target/ci_grid_local
-timeout 55 ./target/release/grid-local --workers 4 --scenario crash \
-    --duration-ms 6000 --out target/ci_grid_local
-./target/release/validate_metrics target/ci_grid_local
-
 echo "== steal smoke (work migrates between processes over the wire) =="
 # Bounded run of the wire-level work-stealing scenario: a slow root worker
 # exports a fib frontier, thieves on two clusters steal jobs over TCP via
 # CRS victim selection, and grid-local asserts the reassembled result
-# matches the sequential value. The gate additionally requires that at
-# least one remote steal actually happened — a run where every job stayed
-# local would pass the arithmetic check while proving nothing.
+# matches the sequential value. grid-local also requires that at least one
+# remote steal actually happened (net.steals.remote_ok summed over the
+# thieves' metrics JSONL) — a run where every job stayed local would pass
+# the arithmetic check while proving nothing.
 rm -rf target/ci_grid_steal
 timeout 60 ./target/release/grid-local --workers 4 --scenario steal \
     --duration-ms 30000 --out target/ci_grid_steal
 ./target/release/validate_metrics target/ci_grid_steal
-awk '
-    /"name":"net.steals.remote_ok"/ {
-        n = $0
-        sub(/.*"value":/, "", n); sub(/[,}].*/, "", n)
-        total += n
-    }
-    END {
-        printf "  net.steals.remote_ok total across thieves: %d\n", total
-        if (total < 1) { print "  FAIL: no remote steals observed"; exit 1 }
-    }
-' target/ci_grid_steal/steal_thief*_metrics.jsonl
 
 SOAK_WORKERS="${SAGRID_SOAK_WORKERS:-1000}"
 echo "== churn-soak smoke (one hub thread serves ${SOAK_WORKERS} reactor workers) =="
@@ -105,25 +83,15 @@ echo "== churn-soak smoke (one hub thread serves ${SOAK_WORKERS} reactor workers
 # a single client-side reactor, rides out churn (disconnect +
 # claim-rejoin), silent crashes (heartbeat-timeout deaths + blacklist)
 # and a launcher-driven grow, while grid-local asserts the hub's OS
-# thread count stays flat — independent of the connection count — and the
-# teardown reaps everything orphan-free. The default 1000-worker tier
-# fits the CI budget; set SAGRID_SOAK_WORKERS=10000 to opt in to the
-# full-scale soak on beefier hardware.
+# thread count stays flat — independent of the connection count — the
+# hub's net.reactor.accepts covers the fleet, and the teardown reaps
+# everything orphan-free. The default 1000-worker tier fits the CI budget;
+# set SAGRID_SOAK_WORKERS=10000 to opt in to the full-scale soak on
+# beefier hardware.
 rm -rf target/ci_grid_churn
 timeout 300 ./target/release/grid-local --workers "$SOAK_WORKERS" --scenario churn-soak \
     --duration-ms 80000 --out target/ci_grid_churn
 ./target/release/validate_metrics target/ci_grid_churn
-awk -v fleet="$SOAK_WORKERS" '
-    /"name":"net.reactor.accepts"/ {
-        n = $0
-        sub(/.*"value":/, "", n); sub(/[,}].*/, "", n)
-        total += n
-    }
-    END {
-        printf "  net.reactor.accepts on the hub: %d\n", total
-        if (total < fleet) { print "  FAIL: hub reactor accepted fewer than the fleet"; exit 1 }
-    }
-' target/ci_grid_churn/run_hub.jsonl
 
 echo "== hub-crash smoke (standby hub takes over a SIGKILLed primary) =="
 # Bounded end-to-end hub failover: a standby hub tails the primary's
@@ -131,23 +99,12 @@ echo "== hub-crash smoke (standby hub takes over a SIGKILLed primary) =="
 # worth inheriting), SIGKILLs the PRIMARY, and asserts the standby wins
 # the deterministic election, promotes under a bumped fenced epoch,
 # re-admits the survivors, still refuses the blacklisted victim, and the
-# composed JSONL passes the hub-failover invariant. The gate additionally
-# requires exactly one takeover counted in the standby's own metrics.
+# composed JSONL passes the hub-failover invariant and the standby's own
+# metrics count exactly one takeover.
 rm -rf target/ci_grid_hubcrash
 timeout 55 ./target/release/grid-local --workers 4 --scenario hub-crash \
     --duration-ms 12000 --out target/ci_grid_hubcrash
 ./target/release/validate_metrics target/ci_grid_hubcrash
-awk '
-    /"name":"net.replica.takeovers"/ {
-        n = $0
-        sub(/.*"value":/, "", n); sub(/[,}].*/, "", n)
-        total += n
-    }
-    END {
-        printf "  net.replica.takeovers total across standbys: %d\n", total
-        if (total != 1) { print "  FAIL: expected exactly one takeover"; exit 1 }
-    }
-' target/ci_grid_hubcrash/run_hub_standby*.jsonl
 
 echo "== emit-metrics smoke (JSONL well-formed, stdout unperturbed) =="
 rm -rf target/ci_metrics
@@ -168,12 +125,17 @@ timeout 600 ./target/release/experiments --fuzz 25
 echo "== scenario parity (one file drives both twins) =="
 # The checked-in paper crash scenario runs through the DES and through
 # real processes over loopback TCP from the *same* declarative file, and
-# both runs are judged by the same invariant checker. Exit code 4 from
-# grid-local would mean infrastructure timeout (not an invariant verdict).
+# both runs are judged by the same invariant checker. On the process side
+# grid-local probes every crash injection: the hub declares each SIGKILLed
+# worker dead by heartbeat timeout (not socket close), a rejoin under a
+# victim's id is refused, the final decision blacklists every victim, and
+# every child is reaped — no orphans. Exit code 4 from grid-local would
+# mean infrastructure timeout (not an invariant verdict).
 ./target/release/experiments --scenario scenarios/s6.json
 rm -rf target/ci_scenario_parity
 timeout 90 ./target/release/grid-local --scenario-file scenarios/s6.json \
     --min-decisions 3 --out target/ci_scenario_parity
+./target/release/validate_metrics target/ci_scenario_parity
 
 echo "== mass-crash regression (hold-fire inside the detection window) =="
 # The checked-in regression for the suspicion bug: 2 of 3 sites crash two
@@ -188,5 +150,6 @@ echo "== mass-crash regression (hold-fire inside the detection window) =="
 rm -rf target/ci_mass_crash
 timeout 90 ./target/release/grid-local --scenario-file scenarios/mass_crash.json \
     --min-decisions 3 --out target/ci_mass_crash
+./target/release/validate_metrics target/ci_mass_crash
 
 echo "CI OK"
