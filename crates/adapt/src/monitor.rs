@@ -77,11 +77,6 @@ impl BenchmarkScheduler {
         self.runs
     }
 
-    /// Start time of the most recent run, if any ran yet.
-    pub fn last_run_started(&self) -> Option<SimTime> {
-        self.last_start
-    }
-
     /// Most recent benchmark duration.
     pub fn last_duration(&self) -> SimDuration {
         self.last_duration

@@ -1,44 +1,47 @@
 //! The checked-in files under `scenarios/` are the data form of the
-//! paper's hand-coded perturbation schedules. Two contracts hold:
+//! paper's hand-coded perturbation schedules and of the process twin's
+//! probed scenarios. Three contracts hold:
 //!
 //! * every file is in the canonical form `ScenarioSpec::to_json`
-//!   produces (parse → re-serialise is the identity on the bytes), and
+//!   produces (parse → re-serialise is the identity on the bytes),
+//! * every file passes the adaptation invariants on the DES, and
 //! * the paper files, which `Scenario::config` compiles, drive the DES to
 //!   the JSONL traces pinned by digest below (taken from the hand-coded
 //!   schedules the files replaced, so the switch changed no byte).
 
 use sagrid_core::metrics::Metrics;
 use sagrid_exp::scenarios::{Scenario, ScenarioId, SubScenario};
-use sagrid_scenario::ScenarioSpec;
+use sagrid_scenario::{check_jsonl, InvariantConfig, ScenarioSpec};
 use sagrid_simgrid::{AdaptMode, GridSim, SimConfig};
 use std::path::PathBuf;
 
-const ALL_FILES: &[&str] = &[
-    "s1.json",
-    "s2a.json",
-    "s2b.json",
-    "s2c.json",
-    "s3.json",
-    "s4.json",
-    "s5.json",
-    "s6.json",
-    "diurnal.json",
-    "flash_crowd.json",
-    "correlated_failure.json",
-    "brownout.json",
-    "mass_crash.json",
-];
+fn scenarios_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+}
+
+/// Every checked-in `*.json` file name, sorted, so a new file cannot be
+/// missed.
+fn all_files() -> Vec<String> {
+    let dir = scenarios_dir();
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("listing {}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no scenario files in {}", dir.display());
+    files
+}
 
 fn read(file: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../scenarios")
-        .join(file);
+    let path = scenarios_dir().join(file);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
 #[test]
 fn every_checked_in_file_is_canonical() {
-    for file in ALL_FILES {
+    for file in &all_files() {
         let text = read(file);
         let spec = ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
         assert_eq!(
@@ -48,6 +51,28 @@ fn every_checked_in_file_is_canonical() {
         );
         spec.sim_config(AdaptMode::Adapt)
             .unwrap_or_else(|e| panic!("{file}: invalid config: {e}"));
+    }
+}
+
+/// Each file, run on the DES with metrics on, satisfies the adaptation
+/// invariants under the settings `experiments --scenario` gates with.
+#[test]
+fn every_checked_in_file_passes_the_invariants_on_the_des() {
+    for file in &all_files() {
+        let spec = ScenarioSpec::parse(&read(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let cfg = spec
+            .sim_config(AdaptMode::Adapt)
+            .unwrap_or_else(|e| panic!("{file}: invalid config: {e}"));
+        let result = GridSim::try_run_with_metrics(cfg, Metrics::enabled()).expect("run fails");
+        assert!(!result.timed_out, "{file} hit the virtual-time cap");
+        let jsonl = result.metrics.expect("metrics enabled").to_jsonl();
+        let inv = InvariantConfig {
+            settle_us: spec.monitoring_period_secs.unwrap_or(180) * 2_000_000,
+            expected_iterations: Some(spec.iterations as u64),
+            ..InvariantConfig::default()
+        };
+        let violations = check_jsonl(&jsonl, &inv);
+        assert!(violations.is_empty(), "{file}: {violations:?}");
     }
 }
 

@@ -14,21 +14,28 @@
 //! injections and applies each at its (time-scaled) wall-clock due time —
 //! CPU loads and uplink brownouts as `Perturb` messages fanned out by the
 //! hub, crashes as SIGKILL, grows as capacity grants, shrinks as leave
-//! signals. Every `crash_cluster`/`crash_nodes` injection is then probed:
-//! the hub must declare each victim dead by heartbeat timeout, a rejoin
-//! under a victim's id must be refused (the worker exits 3), and the
-//! coordinator's final decision must list every victim as blacklisted.
-//! Afterwards the launcher composes its injection records with the
-//! coordinator's decision stream and runs the crates/scenario
-//! adaptation-invariant checker over the merged JSONL, so a process-mode
-//! run is certified by the *same* invariants as a DES run.
+//! signals. The injection kind selects the probe that certifies it:
 //!
-//! `--scenario <mode>` runs one of the hand-written modes that a scenario
-//! file cannot express:
+//! * `crash_cluster`/`crash_nodes` — the hub declares each victim dead by
+//!   heartbeat timeout, a rejoin under a victim's id is refused (the worker
+//!   exits 3), and the coordinator's final decision blacklists every victim.
+//! * `cpu_load` with a `count` (`scenarios/slow_node.json`) — the first
+//!   `remove-nodes` decision after it removes a node the hub slowed, and a
+//!   slowed node heads its badness ranking.
+//! * `crash_hub` (`scenarios/hub_crash.json`) — the file gets one standby
+//!   hub per hub crash and steal-plane workers. The event SIGKILLs the live
+//!   primary; a standby wins the election under the next epoch, the
+//!   survivors fail over, the victims stay refused, and the standby's JSONL
+//!   shows one takeover that inherited bandwidth, peers and blacklist.
 //!
-//! * `full` — one deliberately slow worker (`--speed 0.1`) among healthy
-//!   ones; SIGKILLs `--kill-index`, runs the same crash probe, and verifies
-//!   the coordinator's badness ranking removes exactly the slow node.
+//! The launcher then composes its injection records with the standbys' and
+//! the coordinator's JSONL and runs the crates/scenario invariant checker
+//! over the merged stream, so a process-mode run is certified by the
+//! *same* invariants as a DES run.
+//!
+//! `--scenario <mode>` runs one of the two workloads that a scenario file
+//! cannot express:
+//!
 //! * `steal` — a slow root worker exports a frontier of serialized fib
 //!   subjobs through the wire-level steal plane; thief workers in two
 //!   clusters drain it by CRS and return the values. The launcher verifies
@@ -36,13 +43,6 @@
 //!   the thieves' metrics JSONL), the distributed sum matches the
 //!   sequential reference, and the thieves' `inter_comm` overhead is real
 //!   measured wire time.
-//! * `hub-crash` — starts a standby hub replicating from the primary,
-//!   crashes a worker (so there is a blacklist worth inheriting), then
-//!   SIGKILLs the *primary hub* and verifies the standby wins the
-//!   deterministic election, promotes under a bumped epoch, keeps the
-//!   blacklist/peer-directory/bandwidth state, re-admits the survivors and
-//!   still refuses the victim — all re-certified offline from the composed
-//!   JSONL by the crates/scenario `hub-failover` invariant.
 //! * `churn-soak` — the reactor's scale proof: one hub process serves
 //!   `--workers` (default 5000) protocol-complete loopback workers driven
 //!   by a single in-process reactor swarm (real worker *processes* at that
@@ -68,7 +68,7 @@ use sagrid_core::metrics::{MetricEvent, Metrics, Value};
 use sagrid_net::conn::{Connection, NetEvent};
 use sagrid_net::wire::Message;
 use sagrid_net::{Args, Reactor, ReactorEvent, Token};
-use sagrid_scenario::{check_jsonl, InvariantConfig, ScenarioSpec};
+use sagrid_scenario::{check_jsonl, EventKind, InvariantConfig, ScenarioSpec};
 use sagrid_simgrid::provenance::{reconstruct_decision, DecisionProvenance};
 use sagrid_simnet::Injection;
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,7 +76,7 @@ use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -240,20 +240,18 @@ fn reap(child: &mut Child, deadline: Instant) -> std::io::Result<Option<ExitStat
     }
 }
 
-/// A worker's benchmark cadence.
-#[derive(Clone, Copy)]
-struct WorkerArgs {
-    duty: f64,
-    period_ms: u64,
-    heartbeat_ms: u64,
+/// Polls `done` every 50 ms until it holds or `timeout` passes; returns
+/// whether it held.
+fn wait_for(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    while !done() {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    true
 }
-
-/// The cadence of scenario-file workers, and the default of every mode.
-const DEFAULT_WORKER: WorkerArgs = WorkerArgs {
-    duty: 0.4,
-    period_ms: 500,
-    heartbeat_ms: 100,
-};
 
 /// Everything needed to start one more worker process; cloned into the
 /// grow handler thread.
@@ -262,7 +260,6 @@ struct WorkerCmd {
     bin_dir: PathBuf,
     /// Comma-separated hub failover list, primary first.
     hub_list: String,
-    args: WorkerArgs,
 }
 
 impl WorkerCmd {
@@ -277,12 +274,8 @@ impl WorkerCmd {
         tag: &str,
         mut hook: impl FnMut(&str) + Send + 'static,
     ) -> Result<(Child, Receiver<u32>), Failure> {
-        let wa = self.args;
         let mut child = Command::new(self.bin_dir.join("sagrid-worker"))
             .args(["--hub", &self.hub_list, "--cluster", &cluster.to_string()])
-            .args(["--duty", &wa.duty.to_string()])
-            .args(["--period-ms", &wa.period_ms.to_string()])
-            .args(["--heartbeat-ms", &wa.heartbeat_ms.to_string()])
             .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -312,6 +305,24 @@ struct HubSpec {
     detect_interval_ms: u64,
 }
 
+/// What one hub printed that the failover checks read.
+#[derive(Default)]
+struct HubLog {
+    /// A standby attached to its primary (`EVENT standby attached`).
+    attached: bool,
+    /// The epoch a standby promoted itself under (`EVENT takeover`).
+    takeover: Option<u64>,
+    /// Nodes that joined this hub (`EVENT joined n<id>`).
+    joined: BTreeSet<u32>,
+}
+
+/// A hub the grid spawned, `hub<k>`: replica `k` (0 is the first
+/// primary, `k > 0` standby `k`).
+struct HubHandle {
+    addr: String,
+    log: Arc<Mutex<HubLog>>,
+}
+
 /// A spawned child that teardown reaps. Workers carry `(cluster, node)`.
 struct Proc {
     name: String,
@@ -330,6 +341,13 @@ struct Grid {
     worker: WorkerCmd,
     /// Node ids any hub declared dead (`EVENT died n<id>`).
     died: Arc<Mutex<BTreeSet<u32>>>,
+    /// The nodes each `Perturb` reached, in send order (`EVENT perturbed`).
+    perturbed: Arc<Mutex<Vec<Vec<u32>>>>,
+    hubs: Vec<HubHandle>,
+    /// Index in `hubs` of the live primary.
+    primary: usize,
+    /// Highest hub epoch the coordinator reported (`HUB_EPOCH`).
+    coord_hub_epoch: Arc<AtomicU64>,
     procs: Vec<Proc>,
     /// Workers the grow handler spawned.
     grown: Arc<Mutex<Vec<Proc>>>,
@@ -358,9 +376,12 @@ impl Grid {
             worker: WorkerCmd {
                 bin_dir,
                 hub_list: String::new(),
-                args: DEFAULT_WORKER,
             },
             died: Arc::new(Mutex::new(BTreeSet::new())),
+            perturbed: Arc::new(Mutex::new(Vec::new())),
+            hubs: Vec::new(),
+            primary: 0,
+            coord_hub_epoch: Arc::new(AtomicU64::new(0)),
             procs: Vec::new(),
             grown: Arc::new(Mutex::new(Vec::new())),
             provenance_ok: None,
@@ -374,17 +395,12 @@ impl Grid {
         format!("{}/run_coordinatord.jsonl", self.out)
     }
 
-    /// Spawns a hub named `name` with `extra` flags, feeds its stdout to
-    /// `hook`, and waits for `HUB_PORT=`. The hub's address is appended to
-    /// the failover list workers and the coordinator dial. Returns the
-    /// address and the hub's pid.
-    fn spawn_hub(
-        &mut self,
-        name: &str,
-        spec: &HubSpec,
-        extra: &[&str],
-        mut hook: impl FnMut(&str) + Send + 'static,
-    ) -> Result<(String, u32), Failure> {
+    /// Spawns the next hub with `extra` flags, records its `EVENT` lines,
+    /// and waits for `HUB_PORT=`. The hub's address is appended to the
+    /// failover list workers and the coordinator dial. Returns the address
+    /// and the hub's pid.
+    fn spawn_hub(&mut self, spec: &HubSpec, extra: &[&str]) -> Result<(String, u32), Failure> {
+        let name = format!("hub{}", self.hubs.len());
         let mut child = Command::new(self.worker.bin_dir.join("sagrid-hub"))
             .args(["--port", "0", "--out", &self.out])
             .args(["--clusters", &spec.clusters.to_string()])
@@ -403,26 +419,41 @@ impl Grid {
         let pid = child.id();
         let (port_tx, port_rx) = channel::<u16>();
         let died = Arc::clone(&self.died);
+        let perturbed = Arc::clone(&self.perturbed);
+        let log = Arc::new(Mutex::new(HubLog::default()));
+        let hub_log = Arc::clone(&log);
+        let id = |rest: &str| rest.trim().parse::<u32>().ok();
         pump(
-            name.to_string(),
+            name.clone(),
             child.stdout.take().expect("piped stdout"),
             move |line| {
+                let mut log = hub_log.lock().expect("hub log");
                 if let Some(p) = line
                     .strip_prefix("HUB_PORT=")
                     .and_then(|r| r.trim().parse().ok())
                 {
                     let _ = port_tx.send(p);
-                } else if let Some(n) = line
-                    .strip_prefix("EVENT died n")
-                    .and_then(|r| r.trim().parse().ok())
-                {
+                } else if let Some(n) = line.strip_prefix("EVENT died n").and_then(id) {
                     died.lock().expect("died set").insert(n);
+                } else if let Some(n) = line.strip_prefix("EVENT joined n").and_then(id) {
+                    log.joined.insert(n);
+                } else if let Some(rest) = line.strip_prefix("EVENT perturbed ") {
+                    let nodes = rest.split_once(" nodes").map_or("", |(_, ids)| ids);
+                    let nodes = nodes.split_whitespace();
+                    perturbed.lock().expect("perturbed list").push(
+                        nodes
+                            .filter_map(|n| n.strip_prefix('n').and_then(id))
+                            .collect(),
+                    );
+                } else if line.starts_with("EVENT standby attached") {
+                    log.attached = true;
+                } else if let Some(rest) = line.strip_prefix("EVENT takeover epoch=") {
+                    log.takeover = rest.split_whitespace().next().and_then(|e| e.parse().ok());
                 }
-                hook(line);
             },
         );
         self.procs.push(Proc {
-            name: name.to_string(),
+            name: name.clone(),
             worker: None,
             child,
             gone: false,
@@ -436,6 +467,10 @@ impl Grid {
         }
         self.worker.hub_list.push_str(&addr);
         println!("grid-local: {name} on {addr}");
+        self.hubs.push(HubHandle {
+            addr: addr.clone(),
+            log,
+        });
         Ok((addr, pid))
     }
 
@@ -445,11 +480,7 @@ impl Grid {
     /// relative to its own dial instant, moments before, so launcher
     /// records rebased on this share the decisions' time axis (the skew is
     /// well under the invariant checker's multi-second settle window).
-    fn spawn_coordinator(
-        &mut self,
-        warmup_ms: u64,
-        mut hook: impl FnMut(&str) + Send + 'static,
-    ) -> Result<Instant, Failure> {
+    fn spawn_coordinator(&mut self, warmup_ms: u64) -> Result<Instant, Failure> {
         let mut child = Command::new(self.worker.bin_dir.join("sagrid-coordinatord"))
             .args(["--hub", &self.worker.hub_list, "--period-ms", "600"])
             .args(["--warmup-ms", &warmup_ms.to_string()])
@@ -461,6 +492,7 @@ impl Grid {
         track_child("coordinatord", &child);
         let provenance_ok = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&provenance_ok);
+        let hub_epoch = Arc::clone(&self.coord_hub_epoch);
         let (up_tx, up_rx) = channel::<()>();
         pump(
             "coord".to_string(),
@@ -470,8 +502,13 @@ impl Grid {
                     let _ = up_tx.send(());
                 } else if line.starts_with("PROVENANCE_OK") {
                     flag.store(true, Ordering::Release);
+                } else if let Some(e) = line
+                    .strip_prefix("HUB_EPOCH epoch=")
+                    .and_then(|r| r.split_whitespace().next())
+                    .and_then(|v| v.parse().ok())
+                {
+                    hub_epoch.fetch_max(e, Ordering::AcqRel);
                 }
-                hook(line);
             },
         );
         self.procs.push(Proc {
@@ -588,22 +625,14 @@ impl Grid {
         Ok(())
     }
 
-    /// Waits up to [`DETECT_TIMEOUT`] for the hub to declare every victim
+    /// Waits up to [`DETECT_TIMEOUT`] for the hubs to declare every victim
     /// dead. Only heartbeat silence does that: a closed socket alone is
     /// not a death.
     fn await_deaths(&self, victims: &[u32]) -> bool {
-        let deadline = Instant::now() + DETECT_TIMEOUT;
-        loop {
+        wait_for(DETECT_TIMEOUT, || {
             let died = self.died.lock().expect("died set");
-            if victims.iter().all(|v| died.contains(v)) {
-                return true;
-            }
-            drop(died);
-            if Instant::now() > deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
+            victims.iter().all(|v| died.contains(v))
+        })
     }
 
     /// Starts a worker claiming `node` against the hub at `addr` and
@@ -620,23 +649,70 @@ impl Grid {
     }
 
     /// The crash probe after SIGKILLing `victims` of `cluster`: the hub
-    /// declares each dead by heartbeat timeout, and a rejoin under the
-    /// first victim's id is refused.
+    /// declares each dead by heartbeat timeout, and the live primary
+    /// refuses a rejoin under the first victim's id.
     fn probe_crash(&mut self, cluster: u16, victims: &[u32], what: &str) -> Result<(), Failure> {
         let detected = self.await_deaths(victims);
         self.checks.assert(
             detected,
             &format!("{what}: hub declared {victims:?} dead by heartbeat timeout"),
         );
-        let first_hub = self.worker.hub_list.split(',').next().unwrap_or_default();
-        let refused = self.rejoin_refused(first_hub, cluster, victims[0])?;
+        let refused = self.rejoin_refused(&self.hubs[self.primary].addr, cluster, victims[0])?;
+        // After a hub crash the refusal must come from the standby that
+        // took over: blacklist permanence across the epoch boundary.
+        let by = match self.primary {
+            0 => String::new(),
+            p => format!(" by the NEW primary (epoch {})", p + 1),
+        };
         self.checks.assert(
             refused,
             &format!(
-                "{what}: rejoin under blacklisted id n{} was refused",
+                "{what}: rejoin under blacklisted id n{} was refused{by}",
                 victims[0]
             ),
         );
+        Ok(())
+    }
+
+    /// SIGKILLs the live primary hub. The next standby (the lowest live
+    /// replica id) must win the election under the next epoch and every
+    /// live worker must fail over to it; the launcher's control connection
+    /// then moves to the new primary.
+    fn crash_hub(&mut self) -> Result<(), Failure> {
+        let survivors: BTreeSet<u32> = self
+            .procs
+            .iter()
+            .filter(|p| !p.gone)
+            .filter_map(|p| p.worker.map(|(_, n)| n))
+            .collect();
+        self.sigkill(&format!("hub{}", self.primary))?;
+        self.primary += 1;
+        let epoch = self.primary as u64 + 1;
+        let log = Arc::clone(&self.hubs[self.primary].log);
+        let mut won = None;
+        wait_for(self.join_timeout, || {
+            won = log.lock().expect("hub log").takeover;
+            won.is_some()
+        });
+        self.checks.assert(
+            won == Some(epoch),
+            &format!("standby won the election and promoted under epoch {epoch} (got {won:?})"),
+        );
+        if won.is_some() {
+            let rejoined = wait_for(self.join_timeout, || {
+                survivors.is_subset(&log.lock().expect("hub log").joined)
+            });
+            self.checks.assert(
+                rejoined,
+                &format!(
+                    "all {} surviving workers failed over to the standby",
+                    survivors.len()
+                ),
+            );
+        }
+        let addr = self.hubs[self.primary].addr.clone();
+        self.connect_control(&addr)?;
+        self.apply_grows();
         Ok(())
     }
 
@@ -713,11 +789,59 @@ impl Grid {
         );
     }
 
+    /// The failover checks for standby `k`, which took over at the `k`-th
+    /// hub crash: the coordinator saw epoch `k + 1`, and the standby's JSONL
+    /// counts exactly one takeover, recorded by a `hub_failover` event under
+    /// that epoch that carries the learned bandwidth, the peer directory
+    /// and the blacklist entry of every earlier victim.
+    fn assert_takeover(&mut self, records: &[JsonValue], k: usize, victims: &[u32]) {
+        let takeovers = counter_total(records, "net.replica.takeovers");
+        let event = records
+            .iter()
+            .find(|v| v.get("kind").and_then(|k| k.as_str()) == Some("hub_failover"));
+        let field = |key: &str| event.and_then(|v| v.get(key));
+        let count = |key: &str| field(key).and_then(|v| v.as_u64());
+        let blacklisted: Vec<u64> = field("blacklisted_nodes")
+            .and_then(|v| v.as_arr())
+            .map_or(Vec::new(), |ids| {
+                ids.iter().filter_map(|id| id.as_u64()).collect()
+            });
+        let coord_epoch = self.coord_hub_epoch.load(Ordering::Acquire);
+        for (ok, what) in [
+            (
+                coord_epoch > k as u64,
+                "coordinator observed the bumped hub epoch after failover".into(),
+            ),
+            (
+                takeovers == 1,
+                format!("standby counted exactly one takeover (net.replica.takeovers={takeovers})"),
+            ),
+            (
+                count("epoch") == Some(k as u64 + 1),
+                "hub_failover event records the bumped epoch".into(),
+            ),
+            (
+                count("bandwidth_nodes").is_some_and(|n| n >= 1),
+                "learned bandwidth survived the failover without re-measurement".into(),
+            ),
+            (
+                count("peers").is_some_and(|n| n >= 1),
+                "the steal-plane peer directory survived the failover".into(),
+            ),
+            (
+                victims.iter().all(|&n| blacklisted.contains(&u64::from(n))),
+                format!("the victim's blacklist entry crossed the epoch boundary ({victims:?})"),
+            ),
+        ] {
+            self.checks.assert(ok, &what);
+        }
+    }
+
     /// Composes the given JSONL streams (launcher injection records first),
     /// writes them to `file` in the output directory, and checks the
     /// crates/scenario invariants hold on the result — the exact artifact
     /// shape the DES twin emits, so the same checker runs on both.
-    fn judge(&mut self, streams: &[&str], file: &str, what: &str) -> Result<(), Failure> {
+    fn judge(&mut self, streams: &[String], file: &str, what: &str) -> Result<(), Failure> {
         let composed = streams.concat();
         let path = format!("{}/{file}", self.out);
         std::fs::write(&path, &composed).map_err(|e| format!("write {path}: {e}"))?;
@@ -765,9 +889,9 @@ const STEAL_FIB_N: u64 = 34;
 /// Frontier depth: 2^7 = 128 independent subjobs to spread around.
 const STEAL_DEPTH: u32 = 7;
 
-/// Owned copies of worker flags.
-fn strings(args: &[&str]) -> Vec<String> {
-    args.iter().map(|s| s.to_string()).collect()
+/// Worker flags from a space-separated list (no value may hold a space).
+fn flags(list: &str) -> Vec<String> {
+    list.split_whitespace().map(String::from).collect()
 }
 
 /// The `steal` scenario: a deliberately slow root worker in cluster 0
@@ -786,14 +910,8 @@ fn run_steal(mut grid: Grid, workers: usize, duration: Duration) -> Result<Vec<S
         heartbeat_timeout_ms: 1500,
         detect_interval_ms: 200,
     };
-    let (hub, _) = grid.spawn_hub("hub", &spec, &[], |_| {})?;
+    let (hub, _) = grid.spawn_hub(&spec, &[])?;
     grid.connect_control(&hub)?;
-    grid.worker.args = WorkerArgs {
-        duty: 0.3,
-        period_ms: 300,
-        heartbeat_ms: 200,
-    };
-
     // Shared marker state fed by the stdout pumps.
     let root_result: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
     let root_done = Arc::new(AtomicBool::new(false));
@@ -814,20 +932,12 @@ fn run_steal(mut grid: Grid, workers: usize, duration: Duration) -> Result<Vec<S
 
     // --- Root: slow, cluster 0, owns the distributed computation ---------
     let root_metrics = format!("{}/steal_root_metrics.jsonl", grid.out);
-    let root_extra = strings(&[
-        "--speed",
-        "0.1",
-        "--steal",
-        "on",
-        "--workload",
-        "fib",
-        "--root-arg",
-        &STEAL_FIB_N.to_string(),
-        "--root-depth",
-        &STEAL_DEPTH.to_string(),
-        "--out",
-        &root_metrics,
-    ]);
+    // Every steal-plane worker runs a quicker cadence than the default.
+    let steal = flags("--steal on --duty 0.3 --period-ms 300 --heartbeat-ms 200");
+    let root = flags(&format!(
+        "--speed 0.1 --workload fib --root-arg {STEAL_FIB_N} --root-depth {STEAL_DEPTH} --out"
+    ));
+    let root_extra = [steal.clone(), root, vec![root_metrics.clone()]].concat();
     let rr = Arc::clone(&root_result);
     let rd = Arc::clone(&root_done);
     let sh = steal_hook(true);
@@ -849,7 +959,7 @@ fn run_steal(mut grid: Grid, workers: usize, duration: Duration) -> Result<Vec<S
         .collect();
     for (i, metrics) in thief_metrics.iter().enumerate() {
         let cluster = (i % 2) as u16; // at least one same- and one cross-cluster thief
-        let extra = strings(&["--steal", "on", "--out", metrics]);
+        let extra = [steal.clone(), vec!["--out".into(), metrics.clone()]].concat();
         grid.add_worker(
             cluster,
             &extra,
@@ -860,10 +970,7 @@ fn run_steal(mut grid: Grid, workers: usize, duration: Duration) -> Result<Vec<S
     println!("grid-local: root n{root_node} + {} thieves up", workers - 1);
 
     // --- Wait for the distributed computation, then shut down -------------
-    let deadline = Instant::now() + duration;
-    while !root_done.load(Ordering::Acquire) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_for(duration, || root_done.load(Ordering::Acquire));
     // Let final stats reports drain before tearing the grid down.
     std::thread::sleep(Duration::from_millis(500));
     grid.teardown()?;
@@ -908,12 +1015,6 @@ fn run_steal(mut grid: Grid, workers: usize, duration: Duration) -> Result<Vec<S
     Ok(grid.checks.failures)
 }
 
-/// One synthetic worker inside the churn-soak swarm. `node` is the id the
-/// hub granted; `None` until the `JoinAck` lands.
-struct SoakClient {
-    node: Option<u32>,
-}
-
 /// A swarm of protocol-complete synthetic workers multiplexed on ONE
 /// client-side [`Reactor`] — the only way to put thousands of concurrent
 /// workers in front of the hub on a single box. Each client joins, holds
@@ -922,7 +1023,9 @@ struct SoakClient {
 /// the churn and crash waves need.
 struct Swarm {
     reactor: Reactor,
-    clients: BTreeMap<Token, SoakClient>,
+    /// Each synthetic worker's node id: the one the hub granted, `None`
+    /// until the `JoinAck` lands.
+    clients: BTreeMap<Token, Option<u32>>,
     /// Joins sent whose `JoinAck` has not come back yet.
     pending_join: usize,
     accepted: u64,
@@ -974,7 +1077,7 @@ impl Swarm {
                 claim: claim.map(NodeId),
             },
         );
-        self.clients.insert(t, SoakClient { node: None });
+        self.clients.insert(t, None);
         self.pending_join += 1;
         Ok(t)
     }
@@ -1010,7 +1113,7 @@ impl Swarm {
                     self.pending_join = self.pending_join.saturating_sub(1);
                     if accepted {
                         if let Some(c) = self.clients.get_mut(&t) {
-                            c.node = Some(node.0);
+                            *c = Some(node.0);
                         }
                         self.accepted += 1;
                     } else {
@@ -1040,8 +1143,8 @@ impl Swarm {
             let beats: Vec<(Token, u32)> = self
                 .clients
                 .iter()
-                .filter(|(t, c)| *t % 8 == shard && c.node.is_some())
-                .map(|(t, c)| (*t, c.node.expect("filtered")))
+                .filter(|(t, _)| *t % 8 == shard)
+                .filter_map(|(t, c)| c.map(|n| (*t, n)))
                 .collect();
             for (t, n) in beats {
                 self.reactor
@@ -1106,7 +1209,7 @@ fn run_churn_soak(
         heartbeat_timeout_ms: 3000,
         detect_interval_ms: 200,
     };
-    let (hub_addr, hub_pid) = grid.spawn_hub("hub", &spec, &[], |_| {})?;
+    let (hub_addr, hub_pid) = grid.spawn_hub(&spec, &[])?;
     println!("grid-local: churn-soak, {workers} synthetic workers");
     grid.connect_control(&hub_addr)?;
     let events_rx = grid.control_events.take().expect("control connected");
@@ -1163,7 +1266,7 @@ fn run_churn_soak(
         swarm
             .clients
             .iter()
-            .filter_map(|(t, c)| c.node.map(|n| (*t, n)))
+            .filter_map(|(t, c)| c.map(|n| (*t, n)))
             .take(n)
             .collect()
     };
@@ -1329,26 +1432,41 @@ struct ScenarioArgs {
 /// (600 ms period) demonstrably recovers inside the invariant checker's
 /// 2 s settle window with room to spare.
 const SCENARIO_SETTLE: Duration = Duration::from_millis(6000);
+/// Wall-clock budget of one hub failover: the standby's heartbeat-timeout
+/// silence, the election, and every survivor's rejoin.
+const FAILOVER_MS: u64 = 4000;
 
 /// Drives a declarative scenario file against real processes: the same
 /// events the DES executes are mapped onto `Perturb` fan-outs, SIGKILLs,
-/// capacity grants and leave signals, every crash is probed, and the run
-/// is judged by the same crates/scenario adaptation invariants, from
-/// JSONL alone.
+/// capacity grants, leave signals and hub crashes, each injection kind
+/// with a probe is probed, and the run is judged by the same
+/// crates/scenario adaptation invariants, from JSONL alone.
 fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Failure> {
     let text = std::fs::read_to_string(&sa.path).map_err(|e| format!("read {}: {e}", sa.path))?;
     let spec = ScenarioSpec::parse(&text)?;
     let topology = spec.grid.build();
-    let mut injections = spec.compile(&topology)?;
-    // Stable sort: same-time primitives keep file order (the property
-    // scenario 5 — link first, CPUs second — depends on).
-    injections.sort_by_key(|s| s.at.0);
+    // `compile` lowers what the DES executes; a hub crash has no DES
+    // primitive and rides along as `None`. Stable sort: same-time
+    // primitives keep file order (the property scenario 5 — link first,
+    // CPUs second — depends on).
+    let mut steps: Vec<(u64, Option<Injection>)> = spec
+        .compile(&topology)?
+        .into_iter()
+        .map(|s| (s.at.0, Some(s.injection)))
+        .collect();
+    let hub_crashes: Vec<u64> = spec
+        .events
+        .iter()
+        .filter(|e| e.event == EventKind::CrashHub)
+        .map(|e| e.at_us)
+        .collect();
+    steps.extend(hub_crashes.iter().map(|&at| (at, None)));
+    steps.sort_by_key(|s| s.0);
     println!(
-        "grid-local: scenario \"{}\" — {} events -> {} primitive injections, \
-         time scale {}",
+        "grid-local: scenario \"{}\" — {} events -> {} injections, time scale {}",
         spec.name,
         spec.events.len(),
-        injections.len(),
+        steps.len(),
         sa.time_scale,
     );
 
@@ -1373,14 +1491,48 @@ fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Fa
         heartbeat_timeout_ms: 700,
         detect_interval_ms: 100,
     };
-    let (hub, _) = grid.spawn_hub("hub", &hub_spec, &[], |_| {})?;
-    let coord_epoch = grid.spawn_coordinator(2500, |_| {})?;
+    let (hub, _) = grid.spawn_hub(&hub_spec, &[])?;
+    // One standby per hub crash. Each joins the failover list everyone
+    // dials after the primary, and its snapshot must be aboard before the
+    // grid starts filling the replication log.
+    for k in 1..=hub_crashes.len() {
+        grid.spawn_hub(
+            &hub_spec,
+            &["--standby", &k.to_string(), "--replicate-from", &hub],
+        )?;
+    }
+    let standbys = &grid.hubs[1..];
+    let attached = || {
+        standbys
+            .iter()
+            .all(|h| h.log.lock().expect("hub log").attached)
+    };
+    if !wait_for(grid.join_timeout, attached) {
+        return Err(Failure::Timeout(
+            "standby never attached to the primary".into(),
+        ));
+    }
+    // The adaptation loop must not judge the grid while a hub failover is
+    // in flight: a transient efficiency dip could shrink a survivor away
+    // before it fails over. So its warmup outlasts the last hub crash.
+    let warmup_ms = hub_crashes
+        .iter()
+        .map(|&at| (at as f64 * sa.time_scale / 1e3) as u64 + FAILOVER_MS)
+        .fold(2500, u64::max);
+    let coord_epoch = grid.spawn_coordinator(warmup_ms)?;
     grid.connect_control(&hub)?;
     grid.apply_grows();
 
+    // A failover must carry the steal plane's peer directory across, so
+    // the workers of a file that crashes its hub announce themselves on it.
+    let extra = flags(if hub_crashes.is_empty() {
+        ""
+    } else {
+        "--steal on"
+    });
     for &(cluster, _) in &spec.layout {
         for i in 0..sa.wpc {
-            grid.add_worker(cluster, &[], &format!("c{cluster}w{i}"), |_| {})?;
+            grid.add_worker(cluster, &extra, &format!("c{cluster}w{i}"), |_| {})?;
         }
     }
     println!(
@@ -1398,30 +1550,48 @@ fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Fa
     let mut records = String::new();
     // (label, cluster, victims) of every crash injection, probed below.
     let mut crashes: Vec<(String, u16, Vec<u32>)> = Vec::new();
-    for s in &injections {
-        let due = t0 + Duration::from_micros((s.at.0 as f64 * sa.time_scale) as u64);
+    // (label, apply time, index in `Grid::perturbed`) of every partial
+    // slow-down, and the number of `Perturb`s sent so far.
+    let mut slowdowns: Vec<(String, u64, usize)> = Vec::new();
+    let mut perturbs = 0;
+    // Every crash victim before each hub crash.
+    let mut victims_before_hub_crash: Vec<Vec<u32>> = Vec::new();
+    for (at, step) in steps {
+        let due = t0 + Duration::from_micros((at as f64 * sa.time_scale) as u64);
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
         let at_us = coord_epoch.elapsed().as_micros() as u64;
-        let (kind, cluster) = match s.injection {
-            Injection::CpuLoad {
+        let label = |kind: &str, cluster: ClusterId| {
+            format!("{kind} {cluster} at +{:.2}s", t0.elapsed().as_secs_f64())
+        };
+        let (kind, cluster) = match step {
+            None => {
+                victims_before_hub_crash.push(crashes.iter().flat_map(|c| c.2.clone()).collect());
+                grid.crash_hub()?;
+                ("crash_hub", None)
+            }
+            Some(Injection::CpuLoad {
                 cluster,
                 count,
                 factor,
-            } => {
+            }) => {
                 grid.send(Message::Perturb {
                     cluster,
                     count: count.map_or(0, |n| scale_count(cluster.0, n) as u32),
                     speed: Some((1.0 / factor).clamp(0.05, 1.0)),
                     inter_frac: None,
                 });
+                if count.is_some() && factor > 1.0 {
+                    slowdowns.push((label("cpu_load", cluster), at_us, perturbs));
+                }
+                perturbs += 1;
                 ("cpu_load", Some(cluster.0))
             }
-            Injection::UplinkBandwidth {
+            Some(Injection::UplinkBandwidth {
                 cluster,
                 bandwidth_bps,
-            } => {
+            }) => {
                 // Map the shaped uplink onto a synthetic inter-cluster wait
                 // fraction: full bandwidth ⇒ 0, a starved link ⇒ capped at
                 // 0.45 of the period — far beyond the coordinator's 0.08
@@ -1433,10 +1603,13 @@ fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Fa
                     speed: None,
                     inter_frac: Some((1.0 - bandwidth_bps / base).clamp(0.0, 0.45)),
                 });
+                perturbs += 1;
                 ("uplink_bandwidth", Some(cluster.0))
             }
-            Injection::CrashCluster { cluster } | Injection::CrashNodes { cluster, .. } => {
-                let (kind, count) = match s.injection {
+            Some(
+                inj @ (Injection::CrashCluster { cluster } | Injection::CrashNodes { cluster, .. }),
+            ) => {
+                let (kind, count) = match inj {
                     Injection::CrashNodes { count, .. } => {
                         ("crash_nodes", scale_count(cluster.0, count))
                     }
@@ -1446,11 +1619,10 @@ fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Fa
                 for n in &victims {
                     grid.sigkill(&format!("worker-{n}"))?;
                 }
-                let label = format!("{kind} {cluster} at +{:.2}s", t0.elapsed().as_secs_f64());
-                crashes.push((label, cluster.0, victims));
+                crashes.push((label(kind, cluster), cluster.0, victims));
                 (kind, Some(cluster.0))
             }
-            Injection::Grow { count, prefer } => {
+            Some(Injection::Grow { count, prefer }) => {
                 // An external capacity grant (not a coordinator decision):
                 // the hub allocates from the pool and replies SpawnWorker,
                 // which the grow handler turns into real processes. The
@@ -1468,7 +1640,7 @@ fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Fa
                 });
                 ("grow", None)
             }
-            Injection::Shrink { cluster, count } => {
+            Some(Injection::Shrink { cluster, count }) => {
                 for n in grid.take_workers(cluster.0, scale_count(cluster.0, count)) {
                     grid.send(Message::SignalLeave { node: NodeId(n) });
                 }
@@ -1479,7 +1651,7 @@ fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Fa
         println!(
             "grid-local: injected {kind} at +{:.2}s (virtual {:.1}s)",
             t0.elapsed().as_secs_f64(),
-            s.at.0 as f64 / 1e6,
+            at as f64 / 1e6,
         );
     }
 
@@ -1497,14 +1669,43 @@ fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Fa
     }
     grid.teardown()?;
 
+    // The standbys' JSONL holds the hub_failover events and replica
+    // counters; the launcher knows nothing the files don't say.
+    let mut streams = vec![records];
+    for (k, victims) in (1..).zip(&victims_before_hub_crash) {
+        let (text, standby) = read_jsonl(&format!("{}/run_hub_standby{k}.jsonl", grid.out))?;
+        grid.assert_takeover(&standby, k, victims);
+        streams.push(text);
+    }
     let (coord_text, decisions) = grid.decisions()?;
     for (label, _, victims) in crashes.iter().filter(|c| !c.2.is_empty()) {
         grid.assert_blacklisted(&decisions, victims, label);
     }
+    // A partial slow-down is the paper's overloaded-processor case: the
+    // badness ranking must single out a node the hub slowed.
+    let perturbed = grid.perturbed.lock().expect("perturbed list").clone();
+    for (label, at_us, seq) in &slowdowns {
+        let slowed = perturbed.get(*seq).cloned().unwrap_or_default();
+        let is_slowed = |n: &NodeId| slowed.contains(&n.0);
+        let removal = decisions
+            .iter()
+            .find(|d| d.kind == "remove-nodes" && d.at.0 >= *at_us);
+        grid.checks.assert(
+            removal.is_some_and(|d| d.removed.iter().any(is_slowed)),
+            &format!(
+                "{label}: badness ranking removed the slow worker {slowed:?} (remove-nodes decision)"
+            ),
+        );
+        grid.checks.assert(
+            removal.is_some_and(|d| d.badness.first().is_some_and(|b| is_slowed(&b.node))),
+            &format!("{label}: slow worker ranked worst in the removal's badness provenance"),
+        );
+    }
+    streams.push(coord_text);
     grid.judge(
-        &[&records, &coord_text],
+        &streams,
         "scenario_stream.jsonl",
-        "adaptation invariants hold on the composed process-mode stream",
+        "adaptation + hub-failover invariants hold on the composed stream",
     )?;
     grid.checks.assert(
         decisions.len() >= sa.min_decisions,
@@ -1517,315 +1718,8 @@ fn run_scenario_file(mut grid: Grid, sa: ScenarioArgs) -> Result<Vec<String>, Fa
     Ok(grid.checks.failures)
 }
 
-/// The `full` scenario: the paper's overloaded-processor case on real
-/// processes. With the defaults (E_MIN 0.30, E_MAX 0.50), healthy duty
-/// 0.35 and one slow worker at speed 0.1 give a weighted average of
-/// (4·0.35 + 0.1·0.35)/5 ≈ 0.287 < E_MIN, so the coordinator shrinks by
-/// exactly one node — the slow one, whose badness (∝ 1/speed) dominates.
-/// After its removal the healthy average 0.35 sits inside the band. A
-/// worker is also SIGKILLed and run through the crash probe.
-fn run_full(
-    mut grid: Grid,
-    workers: usize,
-    duration: Duration,
-    victim: u32,
-) -> Result<Vec<String>, Failure> {
-    let spec = HubSpec {
-        clusters: 1,
-        nodes_per_cluster: workers * 2 + 4,
-        heartbeat_timeout_ms: 700,
-        detect_interval_ms: 100,
-    };
-    let (hub, _) = grid.spawn_hub("hub", &spec, &[], |_| {})?;
-    grid.spawn_coordinator(3000, |_| {})?;
-    grid.worker.args = WorkerArgs {
-        duty: 0.35,
-        ..DEFAULT_WORKER
-    };
-    grid.connect_control(&hub)?;
-    grid.apply_grows();
-
-    // The *last* worker is deliberately slow: the paper's overloaded-
-    // processor case, which the badness ranking must single out.
-    let mut slow = 0;
-    for i in 0..workers {
-        let speed = if i == workers - 1 {
-            strings(&["--speed", "0.1"])
-        } else {
-            Vec::new()
-        };
-        slow = grid.add_worker(0, &speed, &format!("w{i}"), |_| {})?;
-    }
-    let start = Instant::now();
-    println!("grid-local: {workers} workers up (slow: n{slow})");
-
-    std::thread::sleep(Duration::from_millis(1000));
-    grid.sigkill(&format!("worker-{victim}"))?;
-    grid.probe_crash(0, &[victim], &format!("crash of n{victim}"))?;
-
-    // --- Let the adaptation loop run, then shut everything down ----------
-    std::thread::sleep(duration.saturating_sub(start.elapsed()));
-    grid.teardown()?;
-
-    let (_, decisions) = grid.decisions()?;
-    grid.assert_blacklisted(&decisions, &[victim], &format!("crash of n{victim}"));
-    let removed = decisions
-        .iter()
-        .find(|d| d.kind == "remove-nodes" && d.removed.contains(&NodeId(slow)));
-    grid.checks.assert(
-        removed.is_some(),
-        "badness ranking removed the slow worker (remove-nodes decision)",
-    );
-    grid.checks.assert(
-        removed.is_some_and(|d| d.badness.first().is_some_and(|b| b.node == NodeId(slow))),
-        "slow worker ranked worst in the removal's badness provenance",
-    );
-    Ok(grid.checks.failures)
-}
-
-/// The `hub-crash` scenario: the control plane itself fails. A standby hub
-/// tails the primary's replication log from the start of the run; once the
-/// grid is busy (and one worker has already crashed and been blacklisted
-/// on the primary's watch) the launcher SIGKILLs the *primary*. The
-/// standby must win the deterministic election, promote in place on its
-/// pre-advertised port under a bumped epoch, and serve the replicated
-/// state: surviving workers fail over through their `--hub` lists, the
-/// blacklisted victim's rejoin is still refused (permanence across the
-/// epoch boundary), the peer directory and learned bandwidth arrive
-/// without re-measurement, and the coordinator redials and stamps
-/// post-failover decisions with the new epoch. The launcher then composes
-/// its injection records with the standby's and the coordinator's JSONL
-/// and runs the crates/scenario checker over the merged stream, so the
-/// takeover is certified from JSONL alone (`hub-failover` invariant:
-/// exactly one takeover per injected hub crash).
-fn run_hub_crash(
-    mut grid: Grid,
-    workers: usize,
-    duration: Duration,
-    victim: u32,
-) -> Result<Vec<String>, Failure> {
-    let spec = HubSpec {
-        clusters: 1,
-        nodes_per_cluster: workers * 2 + 4,
-        heartbeat_timeout_ms: 700,
-        detect_interval_ms: 100,
-    };
-    let (primary, _) = grid.spawn_hub("hub0", &spec, &[], |_| {})?;
-
-    // --- Standby hub (replica 1, same cluster geometry) -------------------
-    let attached = Arc::new(AtomicBool::new(false));
-    let takeover_epoch: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
-    let standby_joined: Arc<Mutex<BTreeSet<u32>>> = Arc::new(Mutex::new(BTreeSet::new()));
-    let hook = {
-        let attached = Arc::clone(&attached);
-        let takeover = Arc::clone(&takeover_epoch);
-        let joined = Arc::clone(&standby_joined);
-        move |line: &str| {
-            if line.starts_with("EVENT standby attached") {
-                attached.store(true, Ordering::Release);
-            } else if let Some(rest) = line.strip_prefix("EVENT takeover epoch=") {
-                if let Some(e) = rest.split_whitespace().next().and_then(|v| v.parse().ok()) {
-                    *takeover.lock().expect("takeover epoch") = Some(e);
-                }
-            } else if let Some(n) = line
-                .strip_prefix("EVENT joined n")
-                .and_then(|r| r.trim().parse().ok())
-            {
-                joined.lock().expect("standby joined").insert(n);
-            }
-        }
-    };
-    // The standby joins the failover list everyone dials after the
-    // primary, so all traffic lands on the primary until it dies.
-    let standby_args = ["--standby", "1", "--replicate-from", &primary];
-    let (standby, _) = grid.spawn_hub("hub1", &spec, &standby_args, hook)?;
-
-    // The snapshot must be aboard before the grid starts filling the log.
-    let attach_deadline = Instant::now() + grid.join_timeout;
-    while !attached.load(Ordering::Acquire) {
-        if Instant::now() > attach_deadline {
-            return Err(Failure::Timeout(
-                "standby never attached to the primary".to_string(),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // --- Coordinator daemon (dials through the same failover list) --------
-    // Highest hub epoch the daemon reported seeing (from HUB_EPOCH lines):
-    // proves post-failover decisions run under the new primary.
-    let coord_hub_epoch: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-    let epoch_seen = Arc::clone(&coord_hub_epoch);
-    // The warmup outlasts the whole disruption window (worker crash ~3.5s,
-    // hub crash ~5s, takeover ~6s): the adaptation loop judges only the
-    // NEW primary's steady state, so a transient efficiency dip during the
-    // failover cannot shrink a surviving worker out from under the
-    // "all survivors failed over" check.
-    let coord_epoch = grid.spawn_coordinator(8000, move |line| {
-        if let Some(e) = line
-            .strip_prefix("HUB_EPOCH epoch=")
-            .and_then(|r| r.split_whitespace().next())
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            let mut seen = epoch_seen.lock().expect("coord epoch");
-            *seen = (*seen).max(e);
-        }
-    })?;
-
-    // --- Workers: failover lists, steal plane on ---------------------------
-    grid.worker.args = WorkerArgs {
-        period_ms: 300,
-        ..DEFAULT_WORKER
-    };
-    let mut survivors = BTreeSet::new();
-    for i in 0..workers {
-        survivors.insert(grid.add_worker(
-            0,
-            &strings(&["--steal", "on"]),
-            &format!("w{i}"),
-            |_| {},
-        )?);
-    }
-    survivors.remove(&victim);
-    let start = Instant::now();
-    println!("grid-local: {workers} workers up on the primary");
-
-    // Let stats reports flow: the first benchmarks replicate as Bandwidth
-    // deltas and the steal announcements fill the peer directory, so the
-    // standby has real learned state to inherit.
-    std::thread::sleep(Duration::from_millis(2000));
-
-    // --- Phase 1: a worker crashes on the primary's watch ------------------
-    let mut records = String::new();
-    grid.sigkill(&format!("worker-{victim}"))?;
-    let at_us = coord_epoch.elapsed().as_micros() as u64;
-    records.push_str(&injection_record(at_us, "crash_nodes", Some(0)));
-    let detected = grid.await_deaths(&[victim]);
-    grid.checks.assert(
-        detected,
-        "primary detected the SIGKILLed worker via heartbeat timeout",
-    );
-    // Let the blacklist delta reach the standby's log before the primary
-    // is allowed to die.
-    std::thread::sleep(Duration::from_millis(500));
-
-    // --- Phase 2: the primary itself dies ----------------------------------
-    grid.sigkill("hub0")?;
-    let at_us = coord_epoch.elapsed().as_micros() as u64;
-    records.push_str(&injection_record(at_us, "crash_hub", None));
-
-    let takeover_deadline = Instant::now() + grid.join_timeout;
-    let epoch_won = loop {
-        if let Some(e) = *takeover_epoch.lock().expect("takeover epoch") {
-            break Some(e);
-        }
-        if Instant::now() > takeover_deadline {
-            break None;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    grid.checks.assert(
-        epoch_won == Some(2),
-        &format!("standby won the election and promoted under epoch 2 (got {epoch_won:?})"),
-    );
-
-    // --- Phase 3: survivors fail over, the blacklist holds -----------------
-    if epoch_won.is_some() {
-        let failover_deadline = Instant::now() + grid.join_timeout;
-        let rejoined = loop {
-            if survivors.is_subset(&standby_joined.lock().expect("standby joined")) {
-                break true;
-            }
-            if Instant::now() > failover_deadline {
-                break false;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        };
-        grid.checks.assert(
-            rejoined,
-            &format!(
-                "all {} surviving workers failed over to the standby",
-                survivors.len()
-            ),
-        );
-        // The victim's id must stay refused under the NEW epoch: blacklist
-        // permanence is exactly what replication exists to guarantee.
-        let refused = grid.rejoin_refused(&standby, 0, victim)?;
-        grid.checks.assert(
-            refused,
-            "blacklisted victim's rejoin was refused by the NEW primary (epoch 2)",
-        );
-    }
-
-    // --- Let the adaptation loop settle under the new primary, shut down ---
-    std::thread::sleep(duration.saturating_sub(start.elapsed()));
-    // The launcher's shutdown goes to the new primary; the old one is gone.
-    if let Err(Failure::Infra(e) | Failure::Timeout(e)) = grid.connect_control(&standby) {
-        grid.checks.assert(
-            false,
-            &format!("could dial the new primary for shutdown: {e}"),
-        );
-    }
-    grid.teardown()?;
-    grid.checks.assert(
-        *coord_hub_epoch.lock().expect("coord epoch") >= 2,
-        "coordinator observed the bumped hub epoch after failover",
-    );
-
-    // --- Judge the takeover from JSONL alone --------------------------------
-    // The standby's stream holds the hub_failover event and replica
-    // counters; the launcher knows nothing the files don't say.
-    let standby_out = format!("{}/run_hub_standby1.jsonl", grid.out);
-    let (standby_text, standby_records) = read_jsonl(&standby_out)?;
-    let takeovers = counter_total(&standby_records, "net.replica.takeovers");
-    grid.checks.assert(
-        takeovers == 1,
-        &format!("standby counted exactly one takeover (net.replica.takeovers={takeovers})"),
-    );
-    let failover_event = standby_records.iter().find(|v| {
-        v.get("type").and_then(|t| t.as_str()) == Some("event")
-            && v.get("kind").and_then(|k| k.as_str()) == Some("hub_failover")
-    });
-    let field = |key: &str| failover_event.and_then(|v| v.get(key));
-    let checks = &mut grid.checks;
-    checks.assert(
-        field("epoch").and_then(|v| v.as_u64()) == Some(2),
-        "hub_failover event records the bumped epoch",
-    );
-    checks.assert(
-        field("bandwidth_nodes")
-            .and_then(|v| v.as_u64())
-            .is_some_and(|n| n >= 1),
-        "learned bandwidth survived the failover without re-measurement",
-    );
-    checks.assert(
-        field("peers")
-            .and_then(|v| v.as_u64())
-            .is_some_and(|n| n >= 1),
-        "the steal-plane peer directory survived the failover",
-    );
-    checks.assert(
-        field("blacklisted_nodes")
-            .and_then(|v| v.as_arr())
-            .is_some_and(|ids| ids.iter().any(|id| id.as_u64() == Some(u64::from(victim)))),
-        "the victim's blacklist entry crossed the epoch boundary",
-    );
-
-    // Composed stream: launcher injections + the standby hub's events +
-    // the coordinator's decisions — the artifact the crates/scenario
-    // checker certifies, including the hub-failover invariant (exactly one
-    // takeover per injected hub crash, no blacklisted join afterwards).
-    let (coord_text, _) = grid.decisions()?;
-    grid.judge(
-        &[&records, &standby_text, &coord_text],
-        "hubcrash_stream.jsonl",
-        "adaptation + hub-failover invariants hold on the composed stream",
-    )?;
-    Ok(grid.checks.failures)
-}
-
-const USAGE: &str = "usage: grid-local (--scenario-file PATH | --scenario \
-                     full|steal|hub-crash|churn-soak) [flags]";
+const USAGE: &str =
+    "usage: grid-local (--scenario-file PATH | --scenario steal|churn-soak) [flags]";
 
 fn run() -> Result<Vec<String>, Failure> {
     let args = Args::parse(
@@ -1840,12 +1734,11 @@ fn run() -> Result<Vec<String>, Failure> {
             "min-decisions",
             "duration-ms",
             "out",
-            "kill-index",
         ],
     )?;
     let out: String = args.get_or("out", "target/grid_local_out".to_string())?;
     let join_timeout = Duration::from_millis(args.get_or("join-timeout-ms", 10_000u64)?);
-    let mode = match (args.get("scenario-file"), args.get("scenario")) {
+    match (args.get("scenario-file"), args.get("scenario")) {
         (Some(path), None) => {
             let sa = ScenarioArgs {
                 path: path.to_string(),
@@ -1853,40 +1746,26 @@ fn run() -> Result<Vec<String>, Failure> {
                 time_scale: args.get_or("time-scale", 0.01)?,
                 min_decisions: args.get_or("min-decisions", 1)?,
             };
-            return run_scenario_file(Grid::new(out, join_timeout)?, sa);
+            run_scenario_file(Grid::new(out, join_timeout)?, sa)
         }
-        (None, Some(mode)) => mode,
-        _ => return Err(Failure::Infra(USAGE.to_string())),
-    };
-    if mode == "churn-soak" {
-        // The soak defaults to the headline population; `--workers` scales
-        // it down for bounded CI smokes. `--duration-ms` is the overall
-        // budget, not a dwell time — the waves finish as fast as they can.
-        let workers: usize = args.get_or("workers", 5000)?;
-        let duration = Duration::from_millis(args.get_or("duration-ms", 180_000u64)?);
-        return run_churn_soak(Grid::new(out, join_timeout)?, workers, duration);
-    }
-    let default_duration = match mode {
-        "full" => 12_000u64,
-        "steal" => 30_000,
-        "hub-crash" => 15_000,
-        other => {
-            return Err(Failure::Infra(format!(
-                "unknown scenario {other:?}; {USAGE}"
-            )))
+        (None, Some("steal")) => {
+            let workers: usize = args.get_or("workers", 4)?;
+            if workers < 3 {
+                return Err(Failure::Infra("need at least 3 workers".to_string()));
+            }
+            let duration = Duration::from_millis(args.get_or("duration-ms", 30_000u64)?);
+            run_steal(Grid::new(out, join_timeout)?, workers, duration)
         }
-    };
-    let workers: usize = args.get_or("workers", 4)?;
-    if workers < 3 {
-        return Err(Failure::Infra("need at least 3 workers".to_string()));
-    }
-    let duration = Duration::from_millis(args.get_or("duration-ms", default_duration)?);
-    let kill_index: u32 = args.get_or("kill-index", 1)?;
-    let grid = Grid::new(out, join_timeout)?;
-    match mode {
-        "full" => run_full(grid, workers, duration, kill_index),
-        "steal" => run_steal(grid, workers, duration),
-        _ => run_hub_crash(grid, workers, duration, kill_index),
+        (None, Some("churn-soak")) => {
+            // The soak defaults to the headline population; `--workers`
+            // scales it down for bounded CI smokes. `--duration-ms` is the
+            // overall budget, not a dwell time — the waves finish as fast
+            // as they can.
+            let workers: usize = args.get_or("workers", 5000)?;
+            let duration = Duration::from_millis(args.get_or("duration-ms", 180_000u64)?);
+            run_churn_soak(Grid::new(out, join_timeout)?, workers, duration)
+        }
+        _ => Err(Failure::Infra(USAGE.to_string())),
     }
 }
 

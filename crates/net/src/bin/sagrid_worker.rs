@@ -80,38 +80,42 @@ fn join(
     loop {
         let stream = connect(hubs, backoff)?;
         *next_conn += 1;
-        let conn = Connection::spawn(*next_conn, stream, events.clone(), None)
-            .map_err(|e| format!("connection setup: {e}"))?;
-        conn.send(Message::Join { cluster, claim });
-        let deadline = Instant::now() + Duration::from_secs(10);
         // None = the connection dropped before a verdict arrived (a hub
-        // torn down mid-dial); treated like a standby refusal below.
-        let verdict = loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match inbox.recv_timeout(left) {
-                Ok(NetEvent::Message(
-                    id,
-                    Message::JoinAck {
-                        node,
-                        accepted,
-                        reason,
-                    },
-                )) if id == conn.id() => break Some((node, accepted, reason)),
-                Ok(NetEvent::Closed(id)) if id == conn.id() => break None,
-                // Stale events from a previous connection: ignore.
-                Ok(_) => continue,
-                Err(_) => return Err("timed out waiting for join ack".to_string()),
+        // torn down mid-dial, possibly before the socket could even be set
+        // up); treated like a standby refusal below.
+        let verdict = match Connection::spawn(*next_conn, stream, events.clone(), None) {
+            Err(_) => None,
+            Ok(conn) => {
+                conn.send(Message::Join { cluster, claim });
+                let deadline = Instant::now() + Duration::from_secs(10);
+                loop {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    match inbox.recv_timeout(left) {
+                        Ok(NetEvent::Message(
+                            id,
+                            Message::JoinAck {
+                                node,
+                                accepted,
+                                reason,
+                            },
+                        )) if id == conn.id() => break Some((conn, node, accepted, reason)),
+                        Ok(NetEvent::Closed(id)) if id == conn.id() => break None,
+                        // Stale events from a previous connection: ignore.
+                        Ok(_) => continue,
+                        Err(_) => return Err("timed out waiting for join ack".to_string()),
+                    }
+                }
             }
         };
         match verdict {
-            Some((node, true, _)) => {
+            Some((conn, node, true, _)) => {
                 backoff.reset();
                 return Ok((conn, node));
             }
-            Some((_, false, reason)) if reason.starts_with("standby") => {
+            Some((_, _, false, reason)) if reason.starts_with("standby") => {
                 println!("JOIN_DEFERRED {reason}");
             }
-            Some((_, false, reason)) => {
+            Some((_, _, false, reason)) => {
                 println!("JOIN_REFUSED {reason}");
                 std::io::stdout().flush().ok();
                 std::process::exit(3);
@@ -160,7 +164,10 @@ fn failover(
             }
             Some(conn)
         }
-        Err(_) => None,
+        Err(e) => {
+            eprintln!("sagrid-worker: failover gave up: {e}");
+            None
+        }
     }
 }
 

@@ -899,12 +899,12 @@ impl Hub {
                             inter_frac,
                         } => {
                             if roles.get(&id) == Some(&Role::Launcher) {
-                                let mut sent = 0u32;
+                                let mut sent = Vec::new();
                                 for (node, t) in node_conn.snapshot() {
                                     if pool.cluster_of(node) != cluster {
                                         continue;
                                     }
-                                    if count > 0 && sent >= count {
+                                    if count > 0 && sent.len() >= count as usize {
                                         break;
                                     }
                                     if reactor.send(
@@ -916,10 +916,17 @@ impl Hub {
                                             inter_frac,
                                         },
                                     ) {
-                                        sent += 1;
+                                        sent.push(node.to_string());
                                     }
                                 }
-                                println!("EVENT perturbed {cluster} workers {sent}");
+                                // The node ids let the launcher check that a
+                                // partial slow-down's victim is the one the
+                                // coordinator ranks worst.
+                                println!(
+                                    "EVENT perturbed {cluster} workers {} nodes {}",
+                                    sent.len(),
+                                    sent.join(" ")
+                                );
                             }
                         }
                         // A standby hub attaches: log it to the standby set

@@ -390,15 +390,6 @@ impl Reactor {
         self.wq_bound = bytes.max(MAX_FRAME + 4);
     }
 
-    /// The listener's bound port (0 when listener-less).
-    pub fn local_port(&self) -> u16 {
-        self.listener
-            .as_ref()
-            .and_then(|l| l.local_addr().ok())
-            .map(|a| a.port())
-            .unwrap_or(0)
-    }
-
     /// Detaches and returns the (still bound, non-blocking) listener —
     /// how a standby hands its front door to the takeover hub.
     pub fn take_listener(&mut self) -> Option<TcpListener> {
@@ -454,11 +445,6 @@ impl Reactor {
     /// and registers the stream.
     pub fn connect(&mut self, addr: &str) -> io::Result<Token> {
         self.register(TcpStream::connect(addr)?)
-    }
-
-    /// Whether `token` is still registered.
-    pub fn has_conn(&self, token: Token) -> bool {
-        self.conns.contains_key(&token)
     }
 
     /// The remote address of a registered connection.

@@ -3,9 +3,8 @@
 //! paper's crash scenario (`scenarios/s6.json`) SIGKILLs two of three
 //! sites and verifies detection, blacklisting, the refused rejoin and the
 //! emitted decision-provenance stream; the steal scenario and the exit-code
-//! classes are covered below. ci.sh additionally runs `steal`, `hub-crash`,
-//! `churn-soak` and the s6/mass-crash scenario files; `--scenario full` is
-//! run by hand (see README).
+//! classes are covered below. ci.sh additionally runs `steal`, `churn-soak`
+//! and the s6, mass-crash, hub-crash and slow-node scenario files.
 
 #[test]
 fn grid_local_crash_scenario_passes() {
@@ -155,9 +154,23 @@ fn grid_local_scenario_file_exit_codes_distinguish_failure_classes() {
     );
     assert_no_leaked_children(&output.stdout);
 
-    // Naming no mode, or `--scenario` without a value, is a usage error.
+    // Naming no mode, `--scenario` without a value, or a mode or flag that
+    // scenario files replaced is a usage error.
     let out_arg = out.to_str().expect("utf8 temp path");
-    for args in [vec!["--out", out_arg], vec!["--scenario"]] {
+    for args in [
+        vec!["--out", out_arg],
+        vec!["--scenario"],
+        vec!["--scenario", "full", "--out", out_arg],
+        vec!["--scenario", "hub-crash", "--out", out_arg],
+        vec![
+            "--scenario-file",
+            scenario,
+            "--kill-index",
+            "1",
+            "--out",
+            out_arg,
+        ],
+    ] {
         let status = std::process::Command::new(env!("CARGO_BIN_EXE_grid-local"))
             .args(&args)
             .status()

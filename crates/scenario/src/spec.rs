@@ -820,12 +820,6 @@ impl ScenarioSpec {
         Ok(out)
     }
 
-    /// Time of the last compiled perturbation, if any (used by the
-    /// invariant checker to find the post-disturbance window).
-    pub fn last_disturbance_us(&self, grid: &GridConfig) -> Result<Option<u64>, String> {
-        Ok(self.compile(grid)?.iter().map(|s| s.at.0).max())
-    }
-
     /// Compiles the full DES configuration for this scenario.
     pub fn sim_config(&self, mode: AdaptMode) -> Result<SimConfig, String> {
         let grid = self.grid.build();

@@ -1515,6 +1515,10 @@ impl GridSim {
             }
             self.apply_decision(now, decision);
         }
+        // Nothing in the DES reads the registry's event log (the hub drains
+        // its own); drain it every period so it does not keep an entry per
+        // membership change for the whole run.
+        drop(self.registry.take_events());
 
         self.queue.push(
             now + self.cfg.policy.monitoring_period,
@@ -1957,6 +1961,32 @@ mod tests {
             "one decision event per coordinator log entry"
         );
         assert_eq!(report.events_of_kind("decision").count(), r.decisions.len());
+    }
+
+    #[test]
+    fn coordinator_ticks_drain_the_registry_event_log() {
+        let mut cfg = base_config();
+        cfg.mode = AdaptMode::Adapt;
+        // Long enough for several 30 s monitoring periods.
+        cfg.workload = quick_workload(60);
+        let mut sim = GridSim::new(cfg);
+        sim.start();
+        let mut ticks = 0;
+        while let Some((now, ev)) = sim.queue.pop() {
+            let tick = matches!(ev, Event::CoordinatorTick);
+            sim.handle(now, ev);
+            if tick {
+                ticks += 1;
+                assert!(
+                    sim.registry.take_events().is_empty(),
+                    "registry events left over after the tick at {now}"
+                );
+            }
+            if sim.finished {
+                break;
+            }
+        }
+        assert!(ticks > 1, "the run reached {ticks} coordinator ticks");
     }
 
     #[test]

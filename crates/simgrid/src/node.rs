@@ -161,11 +161,6 @@ impl SimNode {
         work.mul_f64(self.inv_speed)
     }
 
-    /// Whether the node participates in the computation.
-    pub fn is_alive(&self) -> bool {
-        !matches!(self.activity, NodeActivity::Gone)
-    }
-
     /// Attributes the span since `activity_since` to the bucket matching the
     /// *current* activity, then restarts the attribution clock at `now`.
     ///
