@@ -82,6 +82,13 @@ impl BenchmarkScheduler {
         self.last_duration
     }
 
+    /// Most recent *measured* benchmark duration: `None` until the first
+    /// [`BenchmarkScheduler::record_run`] (before it, `last_duration` is
+    /// only the expected duration that paces the first run).
+    pub fn measured_duration(&self) -> Option<SimDuration> {
+        (self.runs > 0).then_some(self.last_duration)
+    }
+
     fn min_interval(&self) -> SimDuration {
         self.last_duration.mul_f64(1.0 / self.budget)
     }

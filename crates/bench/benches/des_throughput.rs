@@ -1,7 +1,7 @@
 //! Discrete-event engine throughput: events processed per second of wall
 //! time on the scenario 1 (overhead, single cluster) and scenario 4
 //! (overloaded WAN link, multi-cluster) workloads, plus the million-node
-//! stress scenario (`des_million_node`) exercising the timer wheel at
+//! stress scenario (`des_million_node`) exercising the radix-heap queue at
 //! 2^20-node scale.
 //!
 //! Each paper scenario is measured twice — metrics registry off (the

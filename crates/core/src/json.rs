@@ -219,11 +219,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one whole UTF-8 scalar.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf8")?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a char boundary and only its
+                // own bytes are validated: parsing stays linear in the input.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..run]).map_err(|_| "bad utf8")?);
+                *pos = run;
             }
         }
     }
@@ -328,6 +332,33 @@ mod tests {
         write_json_string(&mut out, nasty);
         let back = parse_json(&out).unwrap();
         assert_eq!(back.as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_and_string_ends() {
+        for text in [
+            "π",
+            "\"π",
+            "π\"",
+            "\\π\\",
+            "日本\n語",
+            "→\u{1}←",
+            "emoji 🦀 at the end 🦀",
+            "🦀\t",
+            "ascii only",
+            "",
+        ] {
+            let mut out = String::new();
+            write_json_string(&mut out, text);
+            assert_eq!(parse_json(&out).unwrap().as_str(), Some(text), "{out}");
+        }
+        // Escapes written by other encoders, directly against multi-byte
+        // characters, and a key with them.
+        let v = parse_json("{\"κλειδί\":\"é\\u00e9é\\/ü\"}").unwrap();
+        assert_eq!(v.get("κλειδί").and_then(JsonValue::as_str), Some("ééé/ü"));
+        // A string that never closes is still an error, after a multi-byte run.
+        assert!(parse_json("\"ün").is_err());
+        assert!(parse_json("\"ü\\").is_err());
     }
 
     #[test]

@@ -101,8 +101,6 @@ pub struct NodeStats {
     cluster: ClusterId,
     current: OverheadBreakdown,
     period_start: SimTime,
-    /// Most recent benchmark duration, if any (engine converts to speed).
-    pub last_benchmark: Option<SimDuration>,
 }
 
 impl NodeStats {
@@ -114,7 +112,6 @@ impl NodeStats {
             cluster,
             current: OverheadBreakdown::default(),
             period_start: now,
-            last_benchmark: None,
         }
     }
 

@@ -40,7 +40,7 @@ pub enum ScenarioId {
     /// Million-node stress scenario: ~1 M nodes over 8 192 clusters with
     /// crash, slow-down and growth dynamics. Not part of the paper's
     /// evaluation (and deliberately excluded from [`ScenarioId::all`]) —
-    /// it exists to exercise the timer-wheel event queue and the
+    /// it exists to exercise the radix-heap event queue and the
     /// hierarchical coordinator at a scale where O(log n) event-queue and
     /// O(#clusters) victim-selection costs would dominate.
     MillionNode,

@@ -385,10 +385,20 @@ mod tests {
 
     #[test]
     fn benchmark_reflects_speed_knob() {
+        // The benchmark times a spin loop by wall clock, and when other
+        // threads share the CPUs a preempted spin reads long: one sample
+        // of the full-speed worker can come out as slow as the slowed one.
+        // Preemption only ever adds time, so the minimum of a few
+        // alternating samples is each worker's unpreempted cost. (The
+        // slowed worker pads by a multiple of its own measured spin, so
+        // preemption never pulls its reading below that multiple.)
         let rt = Runtime::new(RuntimeConfig::single_cluster(2));
-        let fast = rt.benchmark_worker(0).expect("fast benchmark");
         rt.set_worker_speed(1, 0.25);
-        let slow = rt.benchmark_worker(1).expect("slow benchmark");
+        let (mut fast, mut slow) = (Duration::MAX, Duration::MAX);
+        for _ in 0..7 {
+            fast = fast.min(rt.benchmark_worker(0).expect("fast benchmark"));
+            slow = slow.min(rt.benchmark_worker(1).expect("slow benchmark"));
+        }
         assert!(
             slow > fast.mul_f64(2.0),
             "slow worker ({slow:?}) should take ≥2x the fast one ({fast:?})"

@@ -78,14 +78,6 @@ impl Default for TimingConfig {
     }
 }
 
-/// Grid size (total nodes across all clusters) at which the auto queue
-/// policy switches from the binary-heap to the timer-wheel backend (see
-/// [`SimConfig::queue_backend`]). The crossover sits somewhere between the
-/// two measured regimes — heap ~30% faster at 36 nodes, wheel ~15% faster
-/// at 2^20 nodes — and queue depth tracks the alive population (every idle
-/// node keeps a retry timer pending), so total grid capacity is the proxy.
-pub const AUTO_WHEEL_NODES: usize = 4096;
-
 /// Full specification of one simulated run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -118,15 +110,11 @@ pub struct SimConfig {
     /// Decisions are identical; the main coordinator receives
     /// `O(clusters)` messages per period instead of `O(nodes)`.
     pub hierarchical_coordinator: bool,
-    /// Future-event-list implementation for the simulation kernel, or
-    /// `None` to let the engine pick by grid size. Both backends produce
-    /// bit-identical runs; they differ only in speed. Measured on the
-    /// paper scenarios and the million-node stress row: the binary heap
-    /// wins on small grids (a few hundred pending events stay cache-hot
-    /// and `log n` is tiny), the timer wheel wins once the pending set is
-    /// large enough that heap sifts go to cold memory. The auto policy
-    /// picks the heap below [`AUTO_WHEEL_NODES`] total grid nodes and the
-    /// wheel at or above it.
+    /// Future-event-list implementation for the simulation kernel; `None`
+    /// takes the default, the radix heap ([`QueueBackend::Wheel`]), at
+    /// every grid size. Both backends produce bit-identical runs; the
+    /// binary heap ([`QueueBackend::Heap`]) is the reference that
+    /// equivalence tests select.
     pub queue_backend: Option<QueueBackend>,
     /// Master RNG seed; every run with the same config and seed is
     /// bit-identical.

@@ -27,7 +27,7 @@ use sagrid_core::time::{SimDuration, SimTime};
 use sagrid_core::workload::TaskTree;
 use sagrid_registry::{Membership, RegistryConfig};
 use sagrid_sched::{AllocPolicy, NodeGrant, Requirements, ResourcePool};
-use sagrid_simnet::{EventQueue, Injection, Network, QueueBackend};
+use sagrid_simnet::{EventQueue, Injection, Network};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -279,13 +279,6 @@ pub struct GridSim {
     task_batches: Batches<(u32, NodeId)>,
     /// Pooled crash-victim lists referenced by [`Event::RecoverCrash`].
     victim_batches: Batches<NodeId>,
-    /// Retry-chain staleness guards, indexed by node.
-    retry_gen: Vec<u64>,
-    /// Engine-side benchmark pacing: last benchmark start per node.
-    last_bench_start: Vec<Option<SimTime>>,
-    /// Load factor observed at each node's last benchmark (for the
-    /// load-aware benchmarking extension).
-    last_bench_load: Vec<Option<f64>>,
     /// Current iteration index and bookkeeping.
     iter: usize,
     tasks_remaining: usize,
@@ -368,9 +361,6 @@ impl GridSim {
             scratch_ids: Vec::new(),
             task_batches: Batches::default(),
             victim_batches: Batches::default(),
-            retry_gen: vec![0; total],
-            last_bench_start: vec![None; total],
-            last_bench_load: vec![None; total],
             iter: 0,
             tasks_remaining: 0,
             iteration_started: SimTime::ZERO,
@@ -388,13 +378,7 @@ impl GridSim {
             peer_cache_hits: 0,
             metrics,
             em,
-            queue: EventQueue::with_backend(cfg.queue_backend.unwrap_or({
-                if total >= crate::config::AUTO_WHEEL_NODES {
-                    QueueBackend::Wheel
-                } else {
-                    QueueBackend::Heap
-                }
-            })),
+            queue: EventQueue::with_backend(cfg.queue_backend.unwrap_or_default()),
             cfg,
         })
     }
@@ -553,15 +537,10 @@ impl GridSim {
                     // Measure the transfer: effective bandwidth as the
                     // application sees it, queueing included.
                     let elapsed = now.saturating_since(sent_at);
-                    let thief_cluster = if self.alive.contains(thief) {
-                        self.node(thief).cluster
-                    } else {
-                        self.pool.cluster_of(thief)
-                    };
                     self.bandwidth
                         .observe(from_cluster, u64::from(bytes), elapsed);
                     self.bandwidth
-                        .observe(thief_cluster, u64::from(bytes), elapsed);
+                        .observe(self.pool.cluster_of(thief), u64::from(bytes), elapsed);
                 }
                 let task = (task != NO_TASK).then_some((task, task_origin));
                 self.on_steal_reply(now, thief, task, token, wide)
@@ -613,18 +592,23 @@ impl GridSim {
             self.cfg.timing.benchmark_work,
         );
         if self.cfg.record_trace {
-            node.trace = Some(crate::trace::NodeTrace::default());
+            node.trace = Some(Box::default());
         }
         // A node that left gracefully is released back to the pool and may
         // be granted again later (e.g. a grow request after a shrink); its
         // old incarnation — activity `Gone`, stats already merged into the
-        // aggregate at leave time — is simply replaced. Activating a node
-        // that is still alive would be a pool bookkeeping bug.
-        let prev = self.nodes[id.index()].replace(node);
-        assert!(
-            prev.is_none_or(|p| matches!(p.activity, NodeActivity::Gone)),
-            "node {id} activated while still alive"
-        );
+        // aggregate at leave time — is replaced, keeping only its retry
+        // generation and benchmark pacing. Activating a node that is still
+        // alive would be a pool bookkeeping bug.
+        if let Some(prev) = self.nodes[id.index()].take() {
+            assert!(
+                matches!(prev.activity, NodeActivity::Gone),
+                "node {id} activated while still alive"
+            );
+            node.retry_gen = prev.retry_gen;
+            node.last_bench = prev.last_bench;
+        }
+        self.nodes[id.index()] = Some(node);
         self.alive.insert(id, cluster);
         self.registry.join(now, id, cluster);
         self.record_node_count(now);
@@ -664,7 +648,7 @@ impl GridSim {
             return;
         }
         // Invalidate pending retry chains for this node.
-        self.retry_gen[id.index()] += 1;
+        self.node_mut(id).retry_gen += 1;
 
         if self.node(id).leave_requested {
             self.perform_leave(now, id);
@@ -678,8 +662,8 @@ impl GridSim {
                 let n = self.node(id);
                 n.execution_time(self.cfg.timing.benchmark_work)
             };
-            self.last_bench_start[id.index()] = Some(now);
-            self.last_bench_load[id.index()] = Some(self.node(id).load_factor);
+            let n = self.node_mut(id);
+            n.last_bench = Some((now, n.load_factor));
             let until = now + dur;
             self.node_mut(id)
                 .transition(now, NodeActivity::Benchmarking { until });
@@ -702,9 +686,9 @@ impl GridSim {
         if !n.bench.should_run(now) {
             return false;
         }
-        let due = match self.last_bench_start[id.index()] {
+        let due = match n.last_bench {
             None => true,
-            Some(start) => {
+            Some((start, _)) => {
                 // "The benchmark is run 1-2 times per monitoring period"
                 // (paper §5.1): pace at half a period, with the budget-based
                 // throttle in `bench.should_run` as the backstop.
@@ -718,7 +702,7 @@ impl GridSim {
         // Load-aware extension (§3.2): skip the re-run when the node's
         // load monitor reports no change since the last benchmark.
         if self.cfg.policy.load_aware_benchmarking {
-            if let Some(last_load) = self.last_bench_load[id.index()] {
+            if let Some((_, last_load)) = n.last_bench {
                 if (last_load - n.load_factor).abs() < 1e-9 {
                     return false;
                 }
@@ -779,7 +763,9 @@ impl GridSim {
             }
             .expect("peer_count > 0 guarantees a victim");
             self.peer_cache_hits += 1;
-            let wide = self.node(victim).cluster != my_cluster;
+            // Cluster from the pool's dense table, not the victim's node:
+            // the victim is usually cold in cache and this is all we need.
+            let wide = self.pool.cluster_of(victim) != my_cluster;
             let token = self.node_mut(id).next_steal_token();
             self.node_mut(id)
                 .transition(now, NodeActivity::SyncSteal { token, wide });
@@ -802,7 +788,7 @@ impl GridSim {
             let jitter = SimDuration::from_micros(self.rng.gen_range(5_000));
             scaled + jitter
         };
-        let generation = self.retry_gen[id.index()];
+        let generation = self.node(id).retry_gen;
         self.queue.push(
             now + backoff,
             Event::RetrySteal {
@@ -822,8 +808,8 @@ impl GridSim {
     ) {
         self.steal_attempts += 1;
         self.wide_steal_attempts += wide as u64;
-        let from = self.node(thief).cluster;
-        let to = self.node(victim).cluster;
+        let from = self.pool.cluster_of(thief);
+        let to = self.pool.cluster_of(victim);
         self.steals_by_cluster[to.index()] += 1;
         let d = self
             .network
@@ -849,12 +835,12 @@ impl GridSim {
     ) {
         // A dead/left victim cannot answer; model the thief's timeout as an
         // empty reply over the same path.
-        let (task, victim_cluster) = if self.alive.contains(victim) {
-            let t = self.node_mut(victim).deque.pop_front();
-            (t, self.node(victim).cluster)
+        let task = if self.alive.contains(victim) {
+            self.node_mut(victim).deque.pop_front()
         } else {
-            (None, self.pool.cluster_of(victim))
+            None
         };
+        let victim_cluster = self.pool.cluster_of(victim);
         let payload = match task {
             Some((t, _)) => {
                 self.cfg.timing.steal_msg_bytes + self.cur_tree().node(t as usize).payload_bytes
@@ -863,11 +849,7 @@ impl GridSim {
         };
         // The thief may itself be gone by delivery time; the reply handler
         // re-injects the task in that case.
-        let thief_cluster = if self.alive.contains(thief) {
-            self.node(thief).cluster
-        } else {
-            self.pool.cluster_of(thief)
-        };
+        let thief_cluster = self.pool.cluster_of(thief);
         let d = self
             .network
             .deliver(now, victim_cluster, thief_cluster, payload);
@@ -1082,7 +1064,6 @@ impl GridSim {
             let n = self.node_mut(id);
             n.transition(now, NodeActivity::Waiting);
             n.bench.record_run(start, dur);
-            n.last_bench_duration = Some(dur);
         }
         self.try_get_work(now, id);
     }
@@ -1099,7 +1080,7 @@ impl GridSim {
     }
 
     fn on_retry(&mut self, now: SimTime, id: NodeId, generation: u64) {
-        if !self.alive.contains(id) || self.retry_gen[id.index()] != generation {
+        if !self.alive.contains(id) || self.node(id).retry_gen != generation {
             return;
         }
         if matches!(self.node(id).activity, NodeActivity::Waiting) {
@@ -1411,7 +1392,7 @@ impl GridSim {
             let n = self.node_mut(id);
             n.flush_stats(now);
             let report = n.stats.take_report(now, 1.0); // speed filled below
-            let bench = n.last_bench_duration;
+            let bench = n.bench.measured_duration();
             raw.push((report, bench));
             if let Some(d) = bench {
                 self.speeds.record(id, d);
@@ -1660,7 +1641,7 @@ impl GridSim {
             .filter_map(|(i, slot)| {
                 slot.as_mut()
                     .and_then(|n| n.trace.take())
-                    .map(|t| (NodeId(i as u32), t))
+                    .map(|t| (NodeId(i as u32), *t))
             })
             .collect();
         // Fold the plainly-accumulated hot-path statistics (and the
@@ -1744,6 +1725,37 @@ mod tests {
         assert_eq!(r.iteration_durations.len(), 3);
         assert!(r.total_runtime > SimDuration::ZERO);
         assert!(r.events_processed > 100);
+    }
+
+    /// A node that leaves and is granted again starts a fresh incarnation
+    /// but keeps its retry generation (so retry timers of the old one stay
+    /// stale) and its benchmark pacing (so it does not re-benchmark
+    /// before half a monitoring period has passed).
+    #[test]
+    fn rejoining_node_keeps_retry_generation_and_benchmark_pacing() {
+        let mut cfg = base_config();
+        cfg.mode = AdaptMode::MonitorOnly;
+        let mut sim = GridSim::new(cfg);
+        sim.start();
+        while sim.queue.peek_time() == Some(SimTime::ZERO) {
+            let (now, ev) = sim.queue.pop().expect("peeked");
+            sim.handle(now, ev);
+        }
+        let id = NodeId(0);
+        assert!(matches!(
+            sim.node(id).activity,
+            NodeActivity::Benchmarking { .. }
+        ));
+        let generation = sim.node(id).retry_gen;
+        assert_eq!(sim.node(id).last_bench, Some((SimTime::ZERO, 1.0)));
+
+        let now = SimTime::from_secs(1);
+        sim.perform_leave(now, id);
+        sim.on_activate(now, id, 1.0);
+        let node = sim.node(id);
+        assert!(node.retry_gen > generation, "generation restarted");
+        assert_eq!(node.last_bench, Some((SimTime::ZERO, 1.0)));
+        assert!(!matches!(node.activity, NodeActivity::Benchmarking { .. }));
     }
 
     #[test]

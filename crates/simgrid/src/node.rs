@@ -90,10 +90,18 @@ pub struct SimNode {
     pub deque: VecDeque<(u32, NodeId)>,
     /// Statistics accumulator for the current monitoring period.
     pub stats: NodeStats,
-    /// Benchmark pacing.
+    /// Benchmark pacing; also keeps the most recent measured duration
+    /// ([`BenchmarkScheduler::measured_duration`]).
     pub bench: BenchmarkScheduler,
-    /// Most recent measured benchmark duration.
-    pub last_bench_duration: Option<SimDuration>,
+    /// Start time and load factor of the last benchmark the engine started
+    /// on this node (half-period pacing and the load-aware extension).
+    /// Carried over to the node's next incarnation, like `retry_gen`.
+    pub last_bench: Option<(SimTime, f64)>,
+    /// Retry-chain staleness guard: bumped at every scheduling point, so a
+    /// pending retry timer carrying an older generation is ignored. Carried
+    /// over to the node's next incarnation, so that timers of an old one
+    /// can never match.
+    pub retry_gen: u64,
     /// Whether an asynchronous wide-area steal is outstanding (CRS allows
     /// at most one).
     pub wide_outstanding: bool,
@@ -108,8 +116,9 @@ pub struct SimNode {
     /// The coordinator asked this node to leave; it will exit at the next
     /// scheduling point.
     pub leave_requested: bool,
-    /// Activity trace (recorded only when the run enables tracing).
-    pub trace: Option<NodeTrace>,
+    /// Activity trace (recorded only when the run enables tracing; boxed
+    /// so that untraced runs pay one word per node for it, not three).
+    pub trace: Option<Box<NodeTrace>>,
 }
 
 impl SimNode {
@@ -133,7 +142,8 @@ impl SimNode {
             deque: VecDeque::new(),
             stats: NodeStats::new(id, cluster, now),
             bench: BenchmarkScheduler::new(benchmark_budget, expected_bench),
-            last_bench_duration: None,
+            last_bench: None,
+            retry_gen: 0,
             wide_outstanding: false,
             steal_token: 0,
             failed_attempts: 0,
@@ -364,6 +374,16 @@ mod tests {
         }
         n.flush_stats(t);
         assert_eq!(n.stats.current().total(), SimDuration::from_secs(10));
+    }
+
+    /// The engine's node table holds one `Option<SimNode>` per grid node
+    /// and `GridSim::try_new` writes every slot (2^20 of them on the
+    /// million-node grid), so set-up time tracks this size: a new field
+    /// must find room in the node, not grow it.
+    #[test]
+    fn node_slot_does_not_grow() {
+        let size = std::mem::size_of::<Option<SimNode>>();
+        assert!(size <= 248, "Option<SimNode> is {size} bytes");
     }
 
     #[test]

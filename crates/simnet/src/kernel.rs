@@ -15,45 +15,37 @@
 //! Two implementations share the `(time, seq)` contract and pop *identical*
 //! sequences for identical push sequences:
 //!
-//! * [`QueueBackend::Wheel`] (default) — a hierarchical timer wheel:
-//!   [`LEVELS`] levels of [`SLOTS`] slots each, 1 µs ticks, per-level
-//!   occupancy bitmaps, and per-slot FIFO buckets. Insert and pop are O(1)
-//!   amortized. Slots are indexed by the bits of the event's absolute
-//!   timestamp, and the level is the position of the highest bit in
-//!   `at XOR cursor` (the wheel's internal clock), so slot order within a
-//!   level *is* time order and no modulo wrap-around ambiguity exists.
-//!   Buckets store `(timestamp, payload)` pairs inline — the engine's slimmed
-//!   event enum is small enough that moving it through a cascade beats the
-//!   extra indirection of a payload slab (both were measured). Events beyond
-//!   the wheel horizon (`at - now >= 2^36` µs, ≈ 19 hours) go to a spill-over
-//!   binary heap ordered by `(at, seq)` and re-enter the wheel when the
-//!   cursor reaches their 2^36 µs block.
+//! * [`QueueBackend::Wheel`] (default, used at every grid size) — a
+//!   monotone radix heap over 1 µs timestamps. Events due at exactly
+//!   `last` (the time of the last pop, i.e. the queue's `now`) wait in a
+//!   FIFO head; every other event sits in one of 64 buckets, bucket `i`
+//!   holding the events whose timestamp first differs from `last` at bit
+//!   `i` (the highest set bit of `at XOR last`). When the head runs dry,
+//!   the lowest occupied bucket (found in a `u64` bitmap) is taken,
+//!   `last` moves to its minimum timestamp, and its events are re-filed:
+//!   the minimum's events into the head, the rest into strictly lower
+//!   buckets. Every event therefore moves at most 64 times, push is O(1)
+//!   and pop O(1) amortized, and there is no horizon: any `u64` timestamp
+//!   is filed the same way. Buckets store `(timestamp, payload)` pairs
+//!   inline.
 //! * [`QueueBackend::Heap`] — the original `BinaryHeap<ScheduledEvent>`;
-//!   O(log n), kept as the oracle for equivalence tests and as a fallback.
+//!   O(log n), kept as the oracle for equivalence tests.
 //!
-//! Why the pop order is identical: while the cursor is at `C`, all events
-//! with the same timestamp map to the same `(level, slot)` (a pure function
-//! of `at` and `C`), so they sit adjacently in one FIFO bucket in push
-//! (= seq) order; cascades drain buckets front-to-back, preserving that
-//! adjacency; and a level-0 slot holds exactly one timestamp (two distinct
-//! times with equal low six bits differ somewhere above bit 5, which would
-//! put at least one of them on a higher level). All events on level `k` are
-//! strictly earlier than all events on level `k+1`, and occupied slot index
-//! order within a level is time order, so "first slot of the lowest
-//! non-empty level" always yields the global minimum.
+//! Why the pop order is identical: a bucket index is a pure function of
+//! `at` and `last`, so all pending events with one timestamp sit in one
+//! bucket (or all in the head). They entered it in push (= seq) order,
+//! either pushed there directly or re-filed together, front to back, from
+//! the bucket they shared before, so that bucket order is preserved. The
+//! head is popped front to back and only ever holds timestamp `last`, and
+//! every bucket holds only timestamps above `last`, so "head first, else
+//! the minimum of the lowest occupied bucket" is always the global
+//! `(time, seq)` minimum: all timestamps in bucket `i` agree with `last`
+//! above bit `i` and have bit `i` set where `last` has it clear, so they
+//! are smaller than every timestamp in bucket `i + 1` and above.
 
 use sagrid_core::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Number of slot-index bits per wheel level (64 slots per level).
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `k` spans `2^(6(k+1))` µs of future.
-const LEVELS: usize = 6;
-/// Events further than `2^HORIZON_BITS` µs ahead spill to the overflow heap.
-const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 
 /// Which future-event-list implementation an [`EventQueue`] uses.
 ///
@@ -62,7 +54,8 @@ const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 /// reference implementation kept for equivalence testing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// Hierarchical timer wheel, O(1) amortized (default).
+    /// Monotone radix heap, O(1) amortized (default). The name predates
+    /// the radix heap, which replaced a hierarchical timer wheel.
     #[default]
     Wheel,
     /// Binary min-heap oracle, O(log n).
@@ -100,164 +93,82 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// A beyond-horizon event waiting in the spill-over heap.
-///
-/// Carries `seq` so that draining a 2^36 µs block back into the wheel
-/// re-inserts equal-timestamp events in push order (the wheel's FIFO
-/// buckets then preserve it).
-#[derive(Clone, Debug)]
-struct Spilled<E> {
-    at: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Spilled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Spilled<E> {}
-impl<E> PartialOrd for Spilled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Spilled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap pops the earliest (at, seq) first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Hierarchical timer wheel state (see module docs for the invariants).
+/// Monotone radix heap state (see module docs for the invariants).
 #[derive(Debug)]
-struct Wheel<E> {
-    /// `LEVELS * SLOTS` FIFO buckets; bucket `level * SLOTS + slot`.
-    buckets: Box<[VecDeque<(u64, E)>]>,
-    /// Per-level slot-occupancy bitmaps (bit `s` set ⇔ bucket non-empty).
-    occupied: [u64; LEVELS],
-    /// Internal wheel clock; equals the queue's `now` between pops (cascades
-    /// advance it to slot starts mid-pop, never past the next event).
-    cursor: u64,
-    /// Beyond-horizon events, earliest `(at, seq)` first.
-    overflow: BinaryHeap<Spilled<E>>,
+struct RadixHeap<E> {
+    /// Events due at exactly `last`, in push order.
+    head: VecDeque<E>,
+    /// Bucket `i`: events whose timestamp first differs from `last` at
+    /// bit `i`, in push order per timestamp.
+    buckets: [Vec<(u64, E)>; 64],
+    /// Smallest timestamp in each bucket (`u64::MAX` when empty), kept up
+    /// to date on push so that taking a bucket needs no scan.
+    mins: [u64; 64],
+    /// Bucket-occupancy bitmap (bit `i` set ⇔ `buckets[i]` non-empty).
+    occupied: u64,
+    /// Timestamp of the last pop; no pending event is earlier.
+    last: u64,
 }
 
-impl<E> Wheel<E> {
+impl<E> RadixHeap<E> {
     fn new() -> Self {
         Self {
-            buckets: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
-            occupied: [0; LEVELS],
-            cursor: 0,
-            overflow: BinaryHeap::new(),
+            head: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; 64],
+            occupied: 0,
+            last: 0,
         }
     }
 
-    /// Files a within-horizon event into its `(level, slot)` bucket.
     #[inline]
-    fn file(&mut self, at: u64, event: E) {
-        debug_assert!(at >= self.cursor);
-        let x = at ^ self.cursor;
-        debug_assert!(x >> HORIZON_BITS == 0);
-        let (level, slot) = if x == 0 {
-            (0, (at & (SLOTS as u64 - 1)) as usize)
+    fn push(&mut self, at: u64, event: E) {
+        debug_assert!(at >= self.last);
+        let x = at ^ self.last;
+        if x == 0 {
+            self.head.push_back(event);
         } else {
-            let level = ((63 - x.leading_zeros()) / SLOT_BITS) as usize;
-            let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            (level, slot)
-        };
-        self.buckets[level * SLOTS + slot].push_back((at, event));
-        self.occupied[level] |= 1u64 << slot;
-    }
-
-    fn push(&mut self, at: u64, seq: u64, event: E) {
-        if (at ^ self.cursor) >> HORIZON_BITS != 0 {
-            self.overflow.push(Spilled { at, seq, event });
-        } else {
-            self.file(at, event);
+            let i = (63 - x.leading_zeros()) as usize;
+            self.occupied |= 1u64 << i;
+            self.mins[i] = self.mins[i].min(at);
+            self.buckets[i].push((at, event));
         }
-    }
-
-    /// Lowest non-empty level, or `LEVELS` when the wheel itself is empty.
-    #[inline]
-    fn lowest_level(&self) -> usize {
-        let mut level = 0;
-        while level < LEVELS && self.occupied[level] == 0 {
-            level += 1;
-        }
-        level
     }
 
     fn pop(&mut self) -> Option<(u64, E)> {
-        loop {
-            let level = self.lowest_level();
-            if level == LEVELS {
-                // Wheel empty: pull the next 2^36 µs block from overflow.
-                // All overflow events are in later blocks than everything the
-                // wheel held, so this never reorders.
-                let block = self.overflow.peek()?.at >> HORIZON_BITS;
-                self.cursor = block << HORIZON_BITS;
-                while let Some(s) = self.overflow.peek() {
-                    if s.at >> HORIZON_BITS != block {
-                        break;
-                    }
-                    let s = self.overflow.pop().expect("peeked");
-                    // Heap order is (at, seq), so equal-`at` spills re-enter
-                    // their bucket in push order.
-                    self.file(s.at, s.event);
-                }
-                continue;
+        if self.head.is_empty() {
+            if self.occupied == 0 {
+                return None;
             }
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            if level == 0 {
-                let bucket = &mut self.buckets[slot];
-                let (at, event) = bucket.pop_front().expect("occupancy bit set");
-                if bucket.is_empty() {
-                    self.occupied[0] &= !(1u64 << slot);
-                }
-                self.cursor = at;
-                return Some((at, event));
-            }
-            // Cascade: advance the cursor to the slot's start time (still
-            // ≤ every event in the slot) and re-file the bucket one or more
-            // levels down.
-            let shift = SLOT_BITS * level as u32;
-            let upper = self.cursor >> (shift + SLOT_BITS) << (shift + SLOT_BITS);
-            self.cursor = upper | ((slot as u64) << shift);
-            self.occupied[level] &= !(1u64 << slot);
-            let mut bucket = std::mem::take(&mut self.buckets[level * SLOTS + slot]);
+            // Advance `last` to the lowest bucket's minimum and re-file the
+            // bucket: the minimum's events land in the head, the rest in
+            // lower buckets (they now agree with `last` on bit `i` too).
+            let i = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1u64 << i);
+            let mut bucket = std::mem::take(&mut self.buckets[i]);
+            self.last = std::mem::replace(&mut self.mins[i], u64::MAX);
             for (at, event) in bucket.drain(..) {
-                self.file(at, event);
+                self.push(at, event);
             }
             // Hand the (now empty) allocation back to avoid churn.
-            self.buckets[level * SLOTS + slot] = bucket;
+            self.buckets[i] = bucket;
         }
+        let event = self.head.pop_front()?;
+        Some((self.last, event))
     }
 
     fn peek_time(&self) -> Option<u64> {
-        let level = self.lowest_level();
-        if level == LEVELS {
-            return self.overflow.peek().map(|s| s.at);
+        if !self.head.is_empty() {
+            return Some(self.last);
         }
-        let slot = self.occupied[level].trailing_zeros() as usize;
-        if level == 0 {
-            // A level-0 slot holds exactly one timestamp.
-            return self.buckets[slot].front().map(|&(at, _)| at);
-        }
-        // Higher-level buckets mix timestamps; scan for the minimum. Not on
-        // the simulation hot path (the engine never peeks between events).
-        self.buckets[level * SLOTS + slot]
-            .iter()
-            .map(|&(at, _)| at)
-            .min()
+        (self.occupied != 0).then(|| self.mins[self.occupied.trailing_zeros() as usize])
     }
 }
 
 /// The future-event list behind an [`EventQueue`].
 #[derive(Debug)]
 enum Backend<E> {
-    Wheel(Wheel<E>),
+    Radix(Box<RadixHeap<E>>),
     Heap(BinaryHeap<ScheduledEvent<E>>),
 }
 
@@ -284,7 +195,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at time zero (timer-wheel backend).
+    /// An empty queue with the clock at time zero (radix-heap backend).
     pub fn new() -> Self {
         Self::with_backend(QueueBackend::Wheel)
     }
@@ -293,7 +204,7 @@ impl<E> EventQueue<E> {
     pub fn with_backend(backend: QueueBackend) -> Self {
         Self {
             backend: match backend {
-                QueueBackend::Wheel => Backend::Wheel(Wheel::new()),
+                QueueBackend::Wheel => Backend::Radix(Box::new(RadixHeap::new())),
                 QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
             },
             now: SimTime::ZERO,
@@ -306,7 +217,7 @@ impl<E> EventQueue<E> {
     /// Which backend this queue runs on.
     pub fn backend(&self) -> QueueBackend {
         match self.backend {
-            Backend::Wheel(_) => QueueBackend::Wheel,
+            Backend::Radix(_) => QueueBackend::Wheel,
             Backend::Heap(_) => QueueBackend::Heap,
         }
     }
@@ -350,7 +261,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.len += 1;
         match &mut self.backend {
-            Backend::Wheel(w) => w.push(at.0, seq, event),
+            Backend::Radix(r) => r.push(at.0, event),
             Backend::Heap(h) => h.push(ScheduledEvent { at, seq, event }),
         }
     }
@@ -359,8 +270,8 @@ impl<E> EventQueue<E> {
     /// timestamp. Returns `None` when the queue is empty (simulation end).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (at, event) = match &mut self.backend {
-            Backend::Wheel(w) => {
-                let (at, event) = w.pop()?;
+            Backend::Radix(r) => {
+                let (at, event) = r.pop()?;
                 (SimTime(at), event)
             }
             Backend::Heap(h) => {
@@ -378,7 +289,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.backend {
-            Backend::Wheel(w) => w.peek_time().map(SimTime),
+            Backend::Radix(r) => r.peek_time().map(SimTime),
             Backend::Heap(h) => h.peek().map(|e| e.at),
         }
     }
@@ -409,15 +320,28 @@ mod tests {
         }
     }
 
+    /// Equal-time events pop in push order, also when the tie is pushed in
+    /// several rounds with a pop between them: each pop of an earlier event
+    /// in the tie's radix bucket re-files that bucket, and the later rounds
+    /// must still queue behind the earlier ones.
     #[test]
     fn ties_break_in_push_order() {
         for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
             let mut q = EventQueue::with_backend(backend);
             let t = SimTime::from_secs(5);
-            for i in 0..100 {
-                q.push(t, i);
+            for (round, early_us) in [4_900_000u64, 4_990_000, 4_999_000, 4_999_900]
+                .into_iter()
+                .enumerate()
+            {
+                for i in 0..25 {
+                    q.push(t, 25 * round as u64 + i);
+                }
+                let early = (SimTime(early_us), 1_000 + round as u64);
+                q.push(early.0, early.1);
+                assert_eq!(q.pop(), Some(early), "{backend:?}");
             }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(q.peek_time(), Some(t), "{backend:?}");
+            let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
             assert_eq!(order, (0..100).collect::<Vec<_>>(), "{backend:?}");
         }
     }
@@ -453,13 +377,24 @@ mod tests {
         for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
             let mut q = EventQueue::with_backend(backend);
             q.push(SimTime::from_secs(10), "first");
+            q.push(SimTime::from_secs(10), "tie");
+            q.push(SimTime::from_secs(12), "later");
             q.pop();
             q.push(SimTime::from_secs(5), "late-a"); // clamped to now = 10s
             q.push(SimTime::from_secs(3), "late-b"); // ditto, after late-a
-            let (t, e) = q.pop().unwrap();
-            assert_eq!((t, e), (SimTime::from_secs(10), "late-a"), "{backend:?}");
-            let (t, e) = q.pop().unwrap();
-            assert_eq!((t, e), (SimTime::from_secs(10), "late-b"), "{backend:?}");
+            assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)), "{backend:?}");
+            let order: Vec<(SimTime, &str)> = std::iter::from_fn(|| q.pop()).collect();
+            let secs = SimTime::from_secs;
+            assert_eq!(
+                order,
+                vec![
+                    (secs(10), "tie"),
+                    (secs(10), "late-a"),
+                    (secs(10), "late-b"),
+                    (secs(12), "later"),
+                ],
+                "{backend:?}"
+            );
         }
     }
 
@@ -486,72 +421,93 @@ mod tests {
             assert_eq!(q.peek_time(), None);
             q.push(SimTime::from_secs(4), ());
             q.push(SimTime::from_secs(2), ());
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)), "{backend:?}");
+            q.push(SimTime::from_secs(2), ());
+            q.push(SimTime::from_secs(3), ());
+            // Peeking never moves the clock or drops an event.
+            while let Some(t) = q.peek_time() {
+                assert_eq!(q.peek_time(), Some(t), "{backend:?}");
+                assert_eq!(q.pop().map(|(at, _)| at), Some(t), "{backend:?}");
+                assert_eq!(q.now(), t, "{backend:?}");
+            }
+            assert!(q.is_empty());
         }
     }
 
-    /// Far-future events (beyond the 2^36 µs wheel horizon) take the
-    /// overflow path and still pop in exact `(time, seq)` order.
+    /// Bits 36 and up: the horizon of the 6×64 timer wheel that the radix
+    /// heap replaced. The radix heap has no horizon; events past it, up to
+    /// `u64::MAX`, are filed like any other.
+    const OLD_HORIZON_US: u64 = 1 << 36;
+
+    /// Far-future events, up to `u64::MAX`, pop in exact `(time, seq)`
+    /// order.
     #[test]
-    fn overflow_events_keep_total_order() {
-        let horizon = SimDuration::from_micros(1 << HORIZON_BITS);
+    fn far_future_events_keep_total_order() {
+        let far = SimTime(OLD_HORIZON_US) + SimDuration::from_secs(7);
+        let max = SimTime(u64::MAX);
         for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
             let mut q = EventQueue::with_backend(backend);
-            let far = SimTime::ZERO + horizon + SimDuration::from_secs(7);
+            q.push(max, "max-a");
             q.push(far, "far-a");
             q.push(SimTime::from_secs(1), "near");
             q.push(far, "far-b"); // same instant: push order must hold
+            q.push(SimTime(u64::MAX - 1), "max-1");
             q.push(far + SimDuration::from_micros(1), "far-c");
+            q.push(max, "max-b");
+            assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)), "{backend:?}");
             let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
             assert_eq!(
                 order,
-                vec!["near", "far-a", "far-b", "far-c"],
+                vec!["near", "far-a", "far-b", "far-c", "max-1", "max-a", "max-b"],
                 "{backend:?}"
             );
-            assert_eq!(q.now(), far + SimDuration::from_micros(1));
+            assert_eq!(q.now(), max);
+            // A tie at the largest timestamp still queues in push order.
+            q.push(max, "end-a");
+            q.push(max, "end-b");
+            assert_eq!(q.pop(), Some((max, "end-a")), "{backend:?}");
+            assert_eq!(q.pop(), Some((max, "end-b")), "{backend:?}");
         }
     }
 
-    /// Pushing while popping across several wheel blocks: overflow events
-    /// re-enter the wheel and interleave correctly with near events.
+    /// Pushing while popping with a mix of near and multi-day offsets: the
+    /// radix heap and the heap pop identical sequences.
     #[test]
-    fn overflow_interleaves_with_near_events() {
-        let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+    fn far_events_interleave_with_near_events() {
+        let [mut radix, mut heap] = both();
         let mut rng = Xoshiro256StarStar::seeded(0xB10C);
         let mut pushes: Vec<(SimTime, u64)> = Vec::new();
         for i in 0..2_000u64 {
             // Mix of near (µs..s) and far (multi-day) offsets.
             let offset = if rng.gen_index(4) == 0 {
-                (1u64 << HORIZON_BITS) * (1 + rng.gen_range(3))
+                OLD_HORIZON_US * (1 + rng.gen_range(3))
             } else {
                 1 + rng.gen_range(1_000_000)
             };
             pushes.push((SimTime(offset), i));
         }
         for &(t, i) in &pushes {
-            wheel.push(t, i);
+            radix.push(t, i);
             heap.push(t, i);
         }
         let mut popped = 0u64;
-        while let Some((wt, wi)) = wheel.pop() {
+        while let Some((rt, ri)) = radix.pop() {
             let (ht, hi) = heap.pop().expect("heap ran dry first");
-            assert_eq!((wt, wi), (ht, hi), "divergence after {popped} pops");
+            assert_eq!((rt, ri), (ht, hi), "divergence after {popped} pops");
             popped += 1;
             // Keep some churn going mid-drain.
             if popped.is_multiple_of(7) && popped < 1_000 {
-                let t = wheel.now() + SimDuration::from_micros(1 + rng.gen_range(1u64 << 37));
+                let t = radix.now() + SimDuration::from_micros(1 + rng.gen_range(1u64 << 37));
                 let tag = 1_000_000 + popped;
-                wheel.push(t, tag);
+                radix.push(t, tag);
                 heap.push(t, tag);
             }
         }
         assert!(heap.pop().is_none());
-        assert_eq!(wheel.len(), 0);
+        assert_eq!(radix.len(), 0);
     }
 
-    /// Steady-state churn with realistic inter-event gaps: the wheel and
-    /// the heap pop byte-identical `(time, payload)` sequences.
+    /// Steady-state churn with realistic inter-event gaps: the radix heap
+    /// and the heap pop byte-identical `(time, payload)` sequences.
     #[test]
     fn wheel_matches_heap_under_churn() {
         let mut rng = Xoshiro256StarStar::seeded(0x5EED_0001);
